@@ -99,13 +99,24 @@ print(f"ntg-bench smoke: {len(r['points'])} points, "
 PYEOF
 rm -f "$BENCH_SMOKE_JSON"
 
+# Repo benchmark harness (BENCHMARK.json): a package of its own that
+# path-depends on crates/* from outside the workspace, so nothing above
+# compiles it. Run it at smoke size with every check on, then its own
+# tests, so an API change cannot rot it unnoticed.
+echo "==> benchmark harness: run.sh --smoke + cargo test"
+timeout 600 benchmark/run.sh --smoke > /dev/null
+timeout 900 cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 # Zero-allocation steady state: the counting allocator asserts the
 # ticked hot path performs no heap allocations after warmup — for the
 # serial engine, the partitioned lockstep engine and the sparse
 # O(active) scheduler (the latter two live in their own binaries so the
-# global counter measures alone).
+# global counter measures alone). `alloc_count` holds four tests that
+# share that process-wide counter, so they run one at a time: on a
+# multi-CPU host the default parallel test threads count each other's
+# set-up allocations.
 echo "==> alloc-count regression tests"
-cargo test -q -p ntg-bench --features alloc-count --test alloc_count
+cargo test -q -p ntg-bench --features alloc-count --test alloc_count -- --test-threads=1
 cargo test -q -p ntg-bench --features alloc-count --test partition_alloc
 cargo test -q -p ntg-bench --features alloc-count --test sched_alloc
 
