@@ -24,6 +24,13 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+# Srisc core differential, long variant: ten times the generated
+# programs of the default suite, CpuCore against the per-cycle RefCore
+# (state, statistics, cycle-stamped OCP events). Release and bounded: a
+# run-ahead burst that fails to terminate must fail fast, not wedge CI.
+echo "==> ntg-cpu differential suite (long, release)"
+timeout 300 cargo test --release -q -p ntg-cpu --lib -- --ignored
+
 # Bench smoke: the quick Table 2 preset exercises the whole
 # trace → translate → replay flow (with event-horizon cycle skipping on
 # by default; NTG_NO_SKIP=1 is the escape hatch), and a sweep dry-run

@@ -16,7 +16,8 @@ pub struct CacheConfig {
     pub sets: u32,
     /// Associativity; at least 1.
     pub ways: u32,
-    /// Words per line; must be a power of two (typically 4).
+    /// Words per line; must be a power of two (typically 4) and at most
+    /// 255, the longest OCP burst — one burst read refills a line.
     pub words_per_line: u32,
 }
 
@@ -59,6 +60,20 @@ impl CacheConfig {
             self.words_per_line.is_power_of_two(),
             "words per line must be a power of two"
         );
+        // A line is refilled by one OCP burst read, whose length field
+        // is a `u8`.
+        assert!(
+            self.words_per_line <= u32::from(u8::MAX),
+            "words_per_line must not exceed the OCP burst limit of 255"
+        );
+        assert!(
+            self.sets
+                .checked_mul(self.ways)
+                .and_then(|lines| lines.checked_mul(self.words_per_line))
+                .and_then(|words| words.checked_mul(4))
+                .is_some(),
+            "cache capacity (sets * ways * words_per_line words) overflows u32"
+        );
     }
 }
 
@@ -85,11 +100,10 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Line {
     valid: bool,
     tag: u32,
-    data: Vec<u32>,
     last_used: u64,
 }
 
@@ -108,7 +122,17 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// log2 of the line size in bytes.
+    line_shift: u32,
+    /// log2 of the bytes one way spans (line size × sets).
+    tag_shift: u32,
+    /// log2 of the words per line.
+    word_shift: u32,
+    /// Line metadata, `ways` consecutive entries per set.
     lines: Vec<Line>,
+    /// Every line's words in one slab: line `i` owns
+    /// `words[i << word_shift ..][..words_per_line]`.
+    words: Vec<u32>,
     clock: u64,
     stats: CacheStats,
 }
@@ -124,12 +148,17 @@ impl Cache {
         let line = Line {
             valid: false,
             tag: 0,
-            data: vec![0; cfg.words_per_line as usize],
             last_used: 0,
         };
+        let lines = (cfg.sets * cfg.ways) as usize;
+        let line_shift = cfg.line_bytes().trailing_zeros();
         Self {
             cfg,
-            lines: vec![line; (cfg.sets * cfg.ways) as usize],
+            line_shift,
+            tag_shift: line_shift + cfg.sets.trailing_zeros(),
+            word_shift: cfg.words_per_line.trailing_zeros(),
+            lines: vec![line; lines],
+            words: vec![0; lines * cfg.words_per_line as usize],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -150,45 +179,66 @@ impl Cache {
         addr & !(self.cfg.line_bytes() - 1)
     }
 
-    fn set_index(&self, addr: u32) -> u32 {
-        (addr / self.cfg.line_bytes()) & (self.cfg.sets - 1)
+    /// Total number of words the cache stores — the size of the index
+    /// space [`lookup`](Self::lookup) answers in.
+    pub(crate) fn total_words(&self) -> usize {
+        self.words.len()
     }
 
-    fn tag(&self, addr: u32) -> u32 {
-        addr / self.cfg.line_bytes() / self.cfg.sets
-    }
-
-    fn word_index(&self, addr: u32) -> usize {
-        ((addr / 4) & (self.cfg.words_per_line - 1)) as usize
-    }
-
-    fn find(&self, addr: u32) -> Option<usize> {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
+    /// The lines of the set `addr` maps to, as a range into `lines`.
+    #[inline]
+    fn set_of(&self, addr: u32) -> std::ops::Range<usize> {
+        let set = (addr >> self.line_shift) & (self.cfg.sets - 1);
         let base = (set * self.cfg.ways) as usize;
-        (base..base + self.cfg.ways as usize)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+        base..base + self.cfg.ways as usize
+    }
+
+    /// Finds the word at `addr`: its index into the word slab if the
+    /// line is present. No statistics, no LRU update — the caller
+    /// commits the access with [`hit`](Self::hit) or [`miss`](Self::miss)
+    /// once it knows the access happens.
+    #[inline]
+    pub(crate) fn lookup(&self, addr: u32) -> Option<usize> {
+        let tag = addr >> self.tag_shift;
+        let set = self.set_of(addr);
+        let base = set.start;
+        let way = self.lines[set]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)?;
+        let word = (addr >> 2) as usize & (self.cfg.words_per_line as usize - 1);
+        Some(((base + way) << self.word_shift) | word)
+    }
+
+    /// Commits a read hit on the word [`lookup`](Self::lookup) found:
+    /// counts it, touches the line's LRU state and returns the word.
+    #[inline]
+    pub(crate) fn hit(&mut self, index: usize) -> u32 {
+        self.clock += 1;
+        self.lines[index >> self.word_shift].last_used = self.clock;
+        self.stats.read_hits += 1;
+        self.words[index]
+    }
+
+    /// Commits a read miss.
+    #[inline]
+    pub(crate) fn miss(&mut self) {
+        self.stats.read_misses += 1;
     }
 
     /// Whether the line containing `addr` is present (no statistics, no
     /// LRU update).
     pub fn contains(&self, addr: u32) -> bool {
-        self.find(addr).is_some()
+        self.lookup(addr).is_some()
     }
 
     /// Reads the word at `addr`, if its line is present.
     ///
     /// Records a read hit or miss and touches the LRU state.
     pub fn read(&mut self, addr: u32) -> Option<u32> {
-        match self.find(addr) {
-            Some(i) => {
-                self.clock += 1;
-                self.lines[i].last_used = self.clock;
-                self.stats.read_hits += 1;
-                Some(self.lines[i].data[self.word_index(addr)])
-            }
+        match self.lookup(addr) {
+            Some(index) => Some(self.hit(index)),
             None => {
-                self.stats.read_misses += 1;
+                self.miss();
                 None
             }
         }
@@ -198,12 +248,11 @@ impl Cache {
     ///
     /// Returns whether the line was present. Never allocates.
     pub fn write_update(&mut self, addr: u32, value: u32) -> bool {
-        match self.find(addr) {
-            Some(i) => {
+        match self.lookup(addr) {
+            Some(index) => {
                 self.clock += 1;
-                self.lines[i].last_used = self.clock;
-                let w = self.word_index(addr);
-                self.lines[i].data[w] = value;
+                self.lines[index >> self.word_shift].last_used = self.clock;
+                self.words[index] = value;
                 self.stats.write_hits += 1;
                 true
             }
@@ -221,6 +270,12 @@ impl Cache {
     /// Panics if `line_addr` is not line-aligned or `words` does not match
     /// the configured line size.
     pub fn fill(&mut self, line_addr: u32, words: &[u32]) {
+        self.install(line_addr, words);
+    }
+
+    /// [`fill`](Self::fill), returning the slab index of the installed
+    /// line's first word (the [`lookup`](Self::lookup) index space).
+    pub(crate) fn install(&mut self, line_addr: u32, words: &[u32]) -> usize {
         assert_eq!(
             line_addr,
             self.line_addr(line_addr),
@@ -231,29 +286,28 @@ impl Cache {
             self.cfg.words_per_line as usize,
             "fill data must be exactly one line"
         );
-        let set = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        let base = (set * self.cfg.ways) as usize;
-        let range = base..base + self.cfg.ways as usize;
+        let set = self.set_of(line_addr);
         // Prefer an invalid way; otherwise evict the least recently used.
-        let victim = range
+        let victim = set
             .clone()
             .find(|&i| !self.lines[i].valid)
             .unwrap_or_else(|| {
-                range
-                    .min_by_key(|&i| self.lines[i].last_used)
+                set.min_by_key(|&i| self.lines[i].last_used)
                     .expect("sets have at least one way")
             });
         if self.lines[victim].valid {
             self.stats.evictions += 1;
         }
         self.clock += 1;
-        let line = &mut self.lines[victim];
-        line.valid = true;
-        line.tag = tag;
-        line.data.copy_from_slice(words);
-        line.last_used = self.clock;
+        self.lines[victim] = Line {
+            valid: true,
+            tag: line_addr >> self.tag_shift,
+            last_used: self.clock,
+        };
+        let first = victim << self.word_shift;
+        self.words[first..first + words.len()].copy_from_slice(words);
         self.stats.fills += 1;
+        first
     }
 
     /// Invalidates every line (does not reset statistics).
@@ -361,6 +415,58 @@ mod tests {
             ways: 1,
             words_per_line: 4,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "words_per_line must not exceed the OCP burst limit")]
+    fn line_longer_than_an_ocp_burst_rejected() {
+        // 256 beats would truncate to a zero-length burst at the first
+        // miss; the geometry must be refused up front.
+        let _ = Cache::new(CacheConfig {
+            sets: 1,
+            ways: 1,
+            words_per_line: 256,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sets * ways * words_per_line")]
+    fn overflowing_capacity_rejected() {
+        let _ = Cache::new(CacheConfig {
+            sets: 1 << 24,
+            ways: 3,
+            words_per_line: 128,
+        });
+    }
+
+    #[test]
+    fn non_default_geometries_index_like_division() {
+        // The shift/mask indexing against the arithmetic definition
+        // (set = line number mod sets, tag = line number / sets).
+        for (sets, ways, wpl) in [(1, 1, 1), (1, 4, 2), (8, 2, 8), (32, 2, 4), (2, 3, 16)] {
+            let cfg = CacheConfig {
+                sets,
+                ways,
+                words_per_line: wpl,
+            };
+            let mut c = Cache::new(cfg);
+            let line_bytes = cfg.line_bytes();
+            for n in [0u32, 1, 7, 33, 1023, 0x00FF_FFFF] {
+                let base = n.wrapping_mul(line_bytes);
+                let words: Vec<u32> = (0..wpl).map(|w| n ^ (w << 20)).collect();
+                c.fill(base, &words);
+                for w in 0..wpl {
+                    assert_eq!(
+                        c.read(base + w * 4),
+                        Some(words[w as usize]),
+                        "{cfg:?} line {n}"
+                    );
+                }
+                // Same set, different tag: absent until filled.
+                let alias = base.wrapping_add(line_bytes * sets * 5);
+                assert!(!c.contains(alias), "{cfg:?} line {n}");
+            }
+        }
     }
 
     #[test]

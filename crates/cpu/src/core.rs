@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use ntg_mem::AddressMap;
-use ntg_ocp::{LinkArena, MasterPort, OcpRequest};
+use ntg_ocp::{LinkArena, MasterPort, OcpRequest, OcpResponse, OcpStatus};
 use ntg_sim::{Activity, Component, Cycle};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
@@ -36,7 +36,7 @@ pub struct CpuStats {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
+pub(crate) enum State {
     /// Execute one instruction this cycle.
     Ready,
     /// Blocking on an instruction-cache line refill.
@@ -77,6 +77,42 @@ pub enum CpuFault {
     },
 }
 
+/// Most instructions one visit executes ahead of `now`. Bounds the work
+/// of a single `tick` when nothing else ends the burst — a core spinning
+/// in its caches on an arena whose driver set no run end.
+pub(crate) const BURST_CEILING: Cycle = 4096;
+
+/// The last address-map region an access fell in, so that the fetch and
+/// load paths answer "cacheable?" with one compare instead of
+/// [`AddressMap::decode`]'s scan. Starts empty (`size == 0` matches
+/// nothing); unmapped addresses are never memoised.
+#[derive(Debug, Clone, Copy, Default)]
+struct RegionMemo {
+    base: u32,
+    size: u32,
+    cacheable: bool,
+}
+
+impl RegionMemo {
+    #[inline]
+    fn is_cacheable(&mut self, map: &AddressMap, addr: u32) -> bool {
+        if addr.wrapping_sub(self.base) < self.size {
+            return self.cacheable;
+        }
+        match map.decode(addr) {
+            Some(region) => {
+                *self = RegionMemo {
+                    base: region.base,
+                    size: region.size,
+                    cacheable: region.kind.cacheable(),
+                };
+                self.cacheable
+            }
+            None => false,
+        }
+    }
+}
+
 /// The in-order, single-issue Srisc core.
 ///
 /// Implements [`Component`]; the core fetches encoded instructions from
@@ -88,6 +124,20 @@ pub enum CpuFault {
 /// halts on the `halt` instruction (recording its completion cycle, which
 /// is the per-core "execution time" reported in the paper's Table 2) or
 /// on a [`CpuFault`].
+///
+/// # Run-ahead
+///
+/// The core touches the platform only through its port, so the
+/// instructions between two bus events are private to it: one `tick`
+/// executes the instruction of its own cycle and then keeps going —
+/// one simulated cycle per instruction — for as long as the next
+/// instruction needs nothing but the registers and a cache hit. Every
+/// instruction that asserts a request, `halt` and every fault execute in
+/// the `tick` of their own cycle; ticks inside an executed burst are
+/// no-ops and [`next_activity`](Component::next_activity) reports the
+/// burst's end as the wake cycle. The burst never reaches the cycle the
+/// arena's [`run_end`](LinkArena::run_end) names, so a run that stops
+/// early leaves the core exactly where per-cycle execution would.
 pub struct CpuCore {
     name: String,
     port: MasterPort,
@@ -95,8 +145,17 @@ pub struct CpuCore {
     regs: [u32; 16],
     pc: u32,
     state: State,
+    /// While `Ready`: the cycle of the next instruction. Everything
+    /// before it has executed.
+    resume_at: Cycle,
     icache: Cache,
+    /// The decoded form of every icache word (`None`: the word is not
+    /// an instruction), indexed like the icache's word slab and written
+    /// when a line is installed.
+    decoded: Vec<Option<Instr>>,
     dcache: Cache,
+    fetch_region: RegionMemo,
+    data_region: RegionMemo,
     stats: CpuStats,
     halt_cycle: Option<Cycle>,
     fault: Option<CpuFault>,
@@ -119,6 +178,7 @@ impl CpuCore {
     ) -> Self {
         let mut regs = [0u32; 16];
         regs[13] = sp;
+        let icache = Cache::new(cfg.icache);
         Self {
             name: name.into(),
             port,
@@ -126,8 +186,12 @@ impl CpuCore {
             regs,
             pc: entry,
             state: State::Ready,
-            icache: Cache::new(cfg.icache),
+            resume_at: 0,
+            decoded: vec![None; icache.total_words()],
+            icache,
             dcache: Cache::new(cfg.dcache),
+            fetch_region: RegionMemo::default(),
+            data_region: RegionMemo::default(),
             stats: CpuStats::default(),
             halt_cycle: None,
             fault: None,
@@ -150,11 +214,17 @@ impl CpuCore {
     }
 
     /// Current register values (`r0` always reads zero).
+    ///
+    /// Between the ticks of a run this is the state at the run-ahead
+    /// frontier — after every instruction already executed, which may be
+    /// cycles ahead of the last `tick`. Once a run loop returns, the
+    /// frontier is the cycle it stopped at.
     pub fn regs(&self) -> [u32; 16] {
         self.regs
     }
 
-    /// The current program counter.
+    /// The current program counter (of the run-ahead frontier; see
+    /// [`regs`](Self::regs)).
     pub fn pc(&self) -> u32 {
         self.pc
     }
@@ -167,12 +237,14 @@ impl CpuCore {
         s
     }
 
+    #[inline]
     fn write_reg(&mut self, rd: Reg, value: u32) {
         if rd.num() != 0 {
             self.regs[rd.num() as usize] = value;
         }
     }
 
+    #[inline]
     fn reg(&self, r: Reg) -> u32 {
         self.regs[r.num() as usize]
     }
@@ -183,250 +255,282 @@ impl CpuCore {
         self.state = State::Halted;
     }
 
-    /// Resolves an outstanding memory event. Returns `true` when the core
-    /// may execute an instruction this cycle.
+    /// Takes the response the core is blocked on, if it is visible; an
+    /// error response stops the core.
+    fn take_ok_response(&mut self, now: Cycle, net: &mut LinkArena) -> Option<OcpResponse> {
+        let resp = self.port.take_response(net, now)?;
+        if resp.status != OcpStatus::Ok {
+            self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
+            return None;
+        }
+        Some(resp)
+    }
+
+    /// Resolves an outstanding memory event. Returns `None` while the
+    /// core stays blocked (or is halted); otherwise the core executes an
+    /// instruction this cycle — the word of a completed uncached fetch,
+    /// or whatever the pc names.
     fn resolve(&mut self, now: Cycle, net: &mut LinkArena) -> Option<Option<u32>> {
-        match self.state {
-            State::Ready => Some(None),
-            State::Halted => None,
+        let raw = match self.state {
+            State::Ready => None,
+            State::Halted => return None,
             State::WaitIFetch { line_addr } => {
-                let resp = self.port.take_response(net, now)?;
-                if resp.status != ntg_ocp::OcpStatus::Ok {
-                    self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
-                    return None;
+                let resp = self.take_ok_response(now, net)?;
+                let first = self.icache.install(line_addr, &resp.data);
+                for (slot, &word) in self.decoded[first..].iter_mut().zip(resp.data.iter()) {
+                    *slot = decode(word).ok();
                 }
-                self.icache.fill(line_addr, &resp.data);
-                self.state = State::Ready;
-                Some(None)
+                None
             }
-            State::WaitIFetchRaw => {
-                let resp = self.port.take_response(net, now)?;
-                if resp.status != ntg_ocp::OcpStatus::Ok {
-                    self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
-                    return None;
-                }
-                self.state = State::Ready;
-                Some(Some(resp.word()))
-            }
+            State::WaitIFetchRaw => Some(self.take_ok_response(now, net)?.word()),
             State::WaitDFill {
                 line_addr,
                 rd,
                 addr,
             } => {
-                let resp = self.port.take_response(net, now)?;
-                if resp.status != ntg_ocp::OcpStatus::Ok {
-                    self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
-                    return None;
-                }
+                let resp = self.take_ok_response(now, net)?;
                 self.dcache.fill(line_addr, &resp.data);
-                let word = resp.data[((addr - line_addr) / 4) as usize];
-                self.write_reg(rd, word);
-                self.state = State::Ready;
-                Some(None)
+                self.write_reg(rd, resp.data[((addr - line_addr) / 4) as usize]);
+                None
             }
             State::WaitLoad { rd } => {
-                let resp = self.port.take_response(net, now)?;
-                if resp.status != ntg_ocp::OcpStatus::Ok {
-                    self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
-                    return None;
-                }
-                self.write_reg(rd, resp.word());
-                self.state = State::Ready;
-                Some(None)
+                let word = self.take_ok_response(now, net)?.word();
+                self.write_reg(rd, word);
+                None
             }
             State::WaitStore => {
                 self.port.take_accept(net, now)?;
-                self.state = State::Ready;
-                Some(None)
+                None
             }
-        }
+        };
+        self.state = State::Ready;
+        Some(raw)
     }
 
-    /// Fetches the instruction word at `pc`, or stalls.
-    fn fetch(&mut self, now: Cycle, net: &mut LinkArena, raw: Option<u32>) -> Option<u32> {
-        if let Some(word) = raw {
-            return Some(word);
-        }
-        if self.map.is_cacheable(self.pc) {
-            match self.icache.read(self.pc) {
-                Some(word) => Some(word),
-                None => {
-                    let line = self.icache.line_addr(self.pc);
-                    let beats = self.icache.config().words_per_line as u8;
-                    self.port
-                        .assert_request(net, OcpRequest::burst_read(line, beats), now);
-                    self.stats.refills += 1;
-                    self.state = State::WaitIFetch { line_addr: line };
-                    None
-                }
-            }
-        } else {
-            self.port
-                .assert_request(net, OcpRequest::read(self.pc), now);
-            self.stats.bus_reads += 1;
-            self.state = State::WaitIFetchRaw;
-            None
-        }
-    }
-
-    fn execute(&mut self, now: Cycle, net: &mut LinkArena, instr: Instr) {
+    /// Executes the instruction at `pc` in cycle `at`.
+    ///
+    /// With `OWN_TICK` this is the instruction of the cycle being
+    /// ticked and may do anything: assert a request and block, halt,
+    /// fault. Without, `at` lies ahead of the tick and only a
+    /// core-private instruction may execute — one that needs the
+    /// registers, an icache hit and at most a dcache read hit; anything
+    /// else returns `false` with no state touched, to execute in the
+    /// tick of its own cycle. Returns whether an instruction retired and
+    /// left the core `Ready`.
+    #[inline(always)]
+    fn step<const OWN_TICK: bool>(
+        &mut self,
+        at: Cycle,
+        net: &mut LinkArena,
+        raw: Option<u32>,
+    ) -> bool {
         use Instr::*;
-        self.stats.instructions += 1;
-        let next_pc = self.pc.wrapping_add(4);
+        let pc = self.pc;
+
+        // Fetch: the word an uncached fetch just delivered, or the
+        // predecoded icache slot (`ihit`, committed on retirement).
+        let (instr, ihit) = match raw {
+            Some(word) if OWN_TICK => match decode(word) {
+                Ok(instr) => (instr, None),
+                Err(e) => {
+                    self.stop_with_fault(at, CpuFault::IllegalInstruction { pc, word: e.word });
+                    return false;
+                }
+            },
+            _ => {
+                if !self.fetch_region.is_cacheable(&self.map, pc) {
+                    if OWN_TICK {
+                        self.port.assert_request(net, OcpRequest::read(pc), at);
+                        self.stats.bus_reads += 1;
+                        self.state = State::WaitIFetchRaw;
+                    }
+                    return false;
+                }
+                let Some(index) = self.icache.lookup(pc) else {
+                    if OWN_TICK {
+                        self.icache.miss();
+                        let line = self.icache.line_addr(pc);
+                        self.refill(net, line, self.icache.config().words_per_line, at);
+                        self.state = State::WaitIFetch { line_addr: line };
+                    }
+                    return false;
+                };
+                let Some(instr) = self.decoded[index] else {
+                    if OWN_TICK {
+                        let word = self.icache.hit(index);
+                        self.stop_with_fault(at, CpuFault::IllegalInstruction { pc, word });
+                    }
+                    return false;
+                };
+                (instr, Some(index))
+            }
+        };
+        let next_pc = pc.wrapping_add(4);
+        let target = |off: i32| next_pc.wrapping_add((off as u32).wrapping_mul(4));
+
+        // Loads first: whether one is core-private depends on the
+        // address, and the dcache is looked up exactly once.
+        if let Ldw(rd, rs, imm) = instr {
+            let addr = self.reg(rs).wrapping_add(imm as u32);
+            let aligned = addr.is_multiple_of(4);
+            let cacheable = aligned && self.data_region.is_cacheable(&self.map, addr);
+            let dhit = if cacheable {
+                self.dcache.lookup(addr)
+            } else {
+                None
+            };
+            if !OWN_TICK && dhit.is_none() {
+                return false;
+            }
+            self.retire(ihit);
+            if !aligned {
+                self.stop_with_fault(at, CpuFault::MisalignedAccess { pc, addr });
+                return false;
+            }
+            self.pc = next_pc;
+            return match dhit {
+                Some(index) => {
+                    let word = self.dcache.hit(index);
+                    self.write_reg(rd, word);
+                    true
+                }
+                None if cacheable => {
+                    self.dcache.miss();
+                    let line = self.dcache.line_addr(addr);
+                    self.refill(net, line, self.dcache.config().words_per_line, at);
+                    self.state = State::WaitDFill {
+                        line_addr: line,
+                        rd,
+                        addr,
+                    };
+                    false
+                }
+                None => {
+                    self.port.assert_request(net, OcpRequest::read(addr), at);
+                    self.stats.bus_reads += 1;
+                    self.state = State::WaitLoad { rd };
+                    false
+                }
+            };
+        }
+        if !OWN_TICK && matches!(instr, Halt | Stw(..)) {
+            return false;
+        }
+
+        self.retire(ihit);
         match instr {
-            Nop => self.pc = next_pc,
+            Nop => {}
             Halt => {
-                self.halt_cycle = Some(now);
+                self.halt_cycle = Some(at);
                 self.state = State::Halted;
+                return false;
             }
-            Add(d, s, t) => {
-                self.write_reg(d, self.reg(s).wrapping_add(self.reg(t)));
-                self.pc = next_pc;
-            }
-            Sub(d, s, t) => {
-                self.write_reg(d, self.reg(s).wrapping_sub(self.reg(t)));
-                self.pc = next_pc;
-            }
-            And(d, s, t) => {
-                self.write_reg(d, self.reg(s) & self.reg(t));
-                self.pc = next_pc;
-            }
-            Or(d, s, t) => {
-                self.write_reg(d, self.reg(s) | self.reg(t));
-                self.pc = next_pc;
-            }
-            Xor(d, s, t) => {
-                self.write_reg(d, self.reg(s) ^ self.reg(t));
-                self.pc = next_pc;
-            }
-            Sll(d, s, t) => {
-                self.write_reg(d, self.reg(s) << (self.reg(t) & 31));
-                self.pc = next_pc;
-            }
-            Srl(d, s, t) => {
-                self.write_reg(d, self.reg(s) >> (self.reg(t) & 31));
-                self.pc = next_pc;
-            }
+            Add(d, s, t) => self.write_reg(d, self.reg(s).wrapping_add(self.reg(t))),
+            Sub(d, s, t) => self.write_reg(d, self.reg(s).wrapping_sub(self.reg(t))),
+            And(d, s, t) => self.write_reg(d, self.reg(s) & self.reg(t)),
+            Or(d, s, t) => self.write_reg(d, self.reg(s) | self.reg(t)),
+            Xor(d, s, t) => self.write_reg(d, self.reg(s) ^ self.reg(t)),
+            Sll(d, s, t) => self.write_reg(d, self.reg(s) << (self.reg(t) & 31)),
+            Srl(d, s, t) => self.write_reg(d, self.reg(s) >> (self.reg(t) & 31)),
             Sra(d, s, t) => {
                 self.write_reg(d, ((self.reg(s) as i32) >> (self.reg(t) & 31)) as u32);
-                self.pc = next_pc;
             }
-            Mul(d, s, t) => {
-                self.write_reg(d, self.reg(s).wrapping_mul(self.reg(t)));
-                self.pc = next_pc;
-            }
+            Mul(d, s, t) => self.write_reg(d, self.reg(s).wrapping_mul(self.reg(t))),
             Slt(d, s, t) => {
                 self.write_reg(d, ((self.reg(s) as i32) < (self.reg(t) as i32)) as u32);
-                self.pc = next_pc;
             }
-            Sltu(d, s, t) => {
-                self.write_reg(d, (self.reg(s) < self.reg(t)) as u32);
-                self.pc = next_pc;
-            }
-            Addi(d, s, imm) => {
-                self.write_reg(d, self.reg(s).wrapping_add(imm as u32));
-                self.pc = next_pc;
-            }
-            Andi(d, s, imm) => {
-                self.write_reg(d, self.reg(s) & (imm as u32));
-                self.pc = next_pc;
-            }
-            Ori(d, s, imm) => {
-                self.write_reg(d, self.reg(s) | (imm as u32));
-                self.pc = next_pc;
-            }
-            Xori(d, s, imm) => {
-                self.write_reg(d, self.reg(s) ^ (imm as u32));
-                self.pc = next_pc;
-            }
-            Slli(d, s, sh) => {
-                self.write_reg(d, self.reg(s) << sh);
-                self.pc = next_pc;
-            }
-            Srli(d, s, sh) => {
-                self.write_reg(d, self.reg(s) >> sh);
-                self.pc = next_pc;
-            }
-            Srai(d, s, sh) => {
-                self.write_reg(d, ((self.reg(s) as i32) >> sh) as u32);
-                self.pc = next_pc;
-            }
-            Slti(d, s, imm) => {
-                self.write_reg(d, ((self.reg(s) as i32) < imm) as u32);
-                self.pc = next_pc;
-            }
-            Movi(d, imm) => {
-                self.write_reg(d, u32::from(imm));
-                self.pc = next_pc;
-            }
+            Sltu(d, s, t) => self.write_reg(d, (self.reg(s) < self.reg(t)) as u32),
+            Addi(d, s, imm) => self.write_reg(d, self.reg(s).wrapping_add(imm as u32)),
+            Andi(d, s, imm) => self.write_reg(d, self.reg(s) & (imm as u32)),
+            Ori(d, s, imm) => self.write_reg(d, self.reg(s) | (imm as u32)),
+            Xori(d, s, imm) => self.write_reg(d, self.reg(s) ^ (imm as u32)),
+            Slli(d, s, sh) => self.write_reg(d, self.reg(s) << sh),
+            Srli(d, s, sh) => self.write_reg(d, self.reg(s) >> sh),
+            Srai(d, s, sh) => self.write_reg(d, ((self.reg(s) as i32) >> sh) as u32),
+            Slti(d, s, imm) => self.write_reg(d, ((self.reg(s) as i32) < imm) as u32),
+            Movi(d, imm) => self.write_reg(d, u32::from(imm)),
             Movhi(d, imm) => {
                 let low = self.reg(d) & 0xFFFF;
                 self.write_reg(d, low | (u32::from(imm) << 16));
-                self.pc = next_pc;
             }
-            Ldw(rd, rs, imm) => {
-                let addr = self.reg(rs).wrapping_add(imm as u32);
-                if !addr.is_multiple_of(4) {
-                    self.stop_with_fault(now, CpuFault::MisalignedAccess { pc: self.pc, addr });
-                    return;
-                }
-                self.pc = next_pc;
-                if self.map.is_cacheable(addr) {
-                    if let Some(word) = self.dcache.read(addr) {
-                        self.write_reg(rd, word);
-                    } else {
-                        let line = self.dcache.line_addr(addr);
-                        let beats = self.dcache.config().words_per_line as u8;
-                        self.port
-                            .assert_request(net, OcpRequest::burst_read(line, beats), now);
-                        self.stats.refills += 1;
-                        self.state = State::WaitDFill {
-                            line_addr: line,
-                            rd,
-                            addr,
-                        };
-                    }
-                } else {
-                    self.port.assert_request(net, OcpRequest::read(addr), now);
-                    self.stats.bus_reads += 1;
-                    self.state = State::WaitLoad { rd };
-                }
-            }
+            Ldw(..) => unreachable!("loads are handled above"),
             Stw(rd, rs, imm) => {
                 let addr = self.reg(rs).wrapping_add(imm as u32);
                 if !addr.is_multiple_of(4) {
-                    self.stop_with_fault(now, CpuFault::MisalignedAccess { pc: self.pc, addr });
-                    return;
+                    self.stop_with_fault(at, CpuFault::MisalignedAccess { pc, addr });
+                    return false;
                 }
                 let value = self.reg(rd);
-                if self.map.is_cacheable(addr) {
+                if self.data_region.is_cacheable(&self.map, addr) {
                     // Write-through: keep a present line coherent.
                     self.dcache.write_update(addr, value);
                 }
                 self.port
-                    .assert_request(net, OcpRequest::write(addr, value), now);
+                    .assert_request(net, OcpRequest::write(addr, value), at);
                 self.stats.bus_writes += 1;
                 self.state = State::WaitStore;
                 self.pc = next_pc;
+                return false;
             }
             Branch(cond, rs, rt, off) => {
                 self.pc = if cond.eval(self.reg(rs), self.reg(rt)) {
-                    next_pc.wrapping_add((off as u32).wrapping_mul(4))
+                    target(off)
                 } else {
                     next_pc
                 };
+                return true;
             }
             J(off) => {
-                self.pc = next_pc.wrapping_add((off as u32).wrapping_mul(4));
+                self.pc = target(off);
+                return true;
             }
             Jal(off) => {
                 self.write_reg(crate::isa::R15, next_pc);
-                self.pc = next_pc.wrapping_add((off as u32).wrapping_mul(4));
+                self.pc = target(off);
+                return true;
             }
             Jr(rs) => {
                 self.pc = self.reg(rs);
+                return true;
             }
         }
+        self.pc = next_pc;
+        true
+    }
+
+    /// The work of one `tick`: the instruction of cycle `now`, then the
+    /// rest of the compute burst it starts.
+    fn visit(&mut self, now: Cycle, net: &mut LinkArena) {
+        let Some(raw) = self.resolve(now, net) else {
+            return;
+        };
+        let mut at = now + 1;
+        if self.step::<true>(now, net, raw) {
+            // Run ahead: one cycle per core-private instruction, never
+            // into the cycle the run stops at.
+            let end = net.run_end().min(at.saturating_add(BURST_CEILING));
+            while at < end && self.step::<false>(at, net, None) {
+                at += 1;
+            }
+        }
+        self.resume_at = at;
+    }
+
+    /// Counts one retired instruction and commits its icache hit.
+    #[inline]
+    fn retire(&mut self, ihit: Option<usize>) {
+        if let Some(index) = ihit {
+            self.icache.hit(index);
+        }
+        self.stats.instructions += 1;
+    }
+
+    /// Issues the burst read that refills the line at `line`.
+    fn refill(&mut self, net: &mut LinkArena, line: u32, words_per_line: u32, at: Cycle) {
+        let beats = u8::try_from(words_per_line).expect("CacheConfig caps lines at 255 words");
+        self.port
+            .assert_request(net, OcpRequest::burst_read(line, beats), at);
+        self.stats.refills += 1;
     }
 }
 
@@ -437,21 +541,10 @@ impl Component<LinkArena> for CpuCore {
 
     #[inline]
     fn tick(&mut self, now: Cycle, net: &mut LinkArena) {
-        let Some(raw) = self.resolve(now, net) else {
-            return;
-        };
-        let Some(word) = self.fetch(now, net, raw) else {
-            return;
-        };
-        match decode(word) {
-            Ok(instr) => self.execute(now, net, instr),
-            Err(e) => self.stop_with_fault(
-                now,
-                CpuFault::IllegalInstruction {
-                    pc: self.pc,
-                    word: e.word,
-                },
-            ),
+        // Cycles before `resume_at` lie inside a burst an earlier visit
+        // already executed.
+        if now >= self.resume_at {
+            self.visit(now, net);
         }
     }
 
@@ -460,11 +553,13 @@ impl Component<LinkArena> for CpuCore {
         self.halted() && self.port.is_quiet(net)
     }
 
-    // Stall ticks only poll the port (no statistics change), so the
-    // default no-op `skip` is exact.
+    // Ticks inside an executed burst do nothing and stall ticks only
+    // poll the port (no statistics change), so the default no-op `skip`
+    // is exact.
     #[inline]
     fn next_activity(&self, now: Cycle, net: &LinkArena) -> Activity {
         match self.state {
+            State::Ready if self.resume_at > now => Activity::IdleUntil(self.resume_at),
             State::Ready => Activity::Busy,
             State::Halted => {
                 if self.port.is_quiet(net) {

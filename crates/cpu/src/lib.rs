@@ -10,8 +10,8 @@
 //! single-issue RISC that produces exactly that traffic class:
 //!
 //! * [`isa`] — the instruction set with a real 32-bit binary encoding
-//!   (programs live in simulated memory as encoded words and are decoded
-//!   on every fetch, as an ISS would);
+//!   (programs live in simulated memory as encoded words; the core
+//!   decodes each word once, when its line enters the instruction cache);
 //! * [`asm`] — an assembler DSL with labels used to write the benchmark
 //!   programs in `ntg-workloads`;
 //! * [`cache`] — set-associative write-through caches with burst line
@@ -28,6 +28,10 @@
 //! anchor points the trace translator relies on are identical for CPU
 //! cores and traffic generators). A blocked core resumes on the cycle
 //! after the unblocking event.
+//!
+//! Between two bus events nothing outside the core can observe it, so
+//! one visit executes the whole compute burst (see [`CpuCore`]); the
+//! simulated cycle of every instruction is unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +41,8 @@ pub mod cache;
 mod core;
 pub mod interp;
 pub mod isa;
+#[cfg(test)]
+mod refcore;
 
 pub use crate::core::{CpuConfig, CpuCore, CpuFault, CpuStats};
 pub use asm::{Asm, AsmError, Program};

@@ -72,6 +72,9 @@ pub struct LinkArena {
     /// [`LinkArena::set_wake_logging`]).
     log_wakes: bool,
     wakes: Vec<u32>,
+    /// The first cycle the run in progress will *not* execute (see
+    /// [`LinkArena::set_run_end`]); `None` when no driver has said.
+    run_end: Option<Cycle>,
 }
 
 /// Decodes a wake token logged by a [`LinkArena`] (see
@@ -155,6 +158,7 @@ impl LinkArena {
             base: at,
             log_wakes: self.log_wakes,
             wakes: Vec::new(),
+            run_end: self.run_end,
         }
     }
 
@@ -190,6 +194,24 @@ impl LinkArena {
         if !on {
             self.wakes.clear();
         }
+    }
+
+    /// Tells the components how far the run in progress goes: cycles
+    /// `< end` will be executed, cycle `end` may never be. A run loop
+    /// with a cycle limit sets this before its first tick, so a
+    /// component that executes ahead of `now` (a `CpuCore` inside a
+    /// compute burst) stops at the same cycle the loop does and an
+    /// incomplete run reports exactly the state of that cycle.
+    /// Sub-arenas inherit the value on [`LinkArena::split_off`].
+    pub fn set_run_end(&mut self, end: Cycle) {
+        self.run_end = Some(end);
+    }
+
+    /// The cycle set by [`LinkArena::set_run_end`]; [`Cycle::MAX`]
+    /// (unbounded) when no driver has set one.
+    #[inline]
+    pub fn run_end(&self) -> Cycle {
+        self.run_end.unwrap_or(Cycle::MAX)
     }
 
     #[inline]
@@ -651,10 +673,13 @@ mod tests {
         let (m0, _s0) = net.channel("a", MasterId(0));
         let (m1, s1) = net.channel("b", MasterId(1));
         let (m2, _s2) = net.channel("c", MasterId(2));
+        assert_eq!(net.run_end(), Cycle::MAX, "unset means unbounded");
+        net.set_run_end(900);
         let mut tail = net.split_off(1);
         assert_eq!(net.len(), 1);
         assert_eq!(tail.len(), 2);
         assert_eq!(tail.base(), 1);
+        assert_eq!(tail.run_end(), 900, "sub-arenas inherit the run end");
         // Ports minted before the split keep working against the
         // sub-arena that owns their range.
         assert_eq!(m1.name(&tail), "b");

@@ -860,6 +860,8 @@ impl Platform {
     /// [`set_cycle_skipping`](Self::set_cycle_skipping)); skipping never
     /// changes reported cycles, statistics or traces, only wall time.
     pub fn run(&mut self, max_cycles: Cycle) -> RunReport {
+        // Cores executing ahead of `now` must stop where this run does.
+        self.net.set_run_end(max_cycles);
         if self.skipping && self.active_sched {
             return self.run_sparse(max_cycles);
         }
@@ -1128,6 +1130,7 @@ impl Platform {
     /// pollute the count. Ticking is bit-identical to what `run` does
     /// when no skip fires, so interleaving `step` and `run` is safe.
     pub fn step(&mut self, cycles: Cycle) {
+        self.net.set_run_end(self.now + cycles);
         for _ in 0..cycles {
             if self.quiesced() {
                 break;

@@ -462,6 +462,8 @@ impl Platform {
         );
         let start = Instant::now();
         let p = specs.len();
+        // Before carving: the sub-arenas inherit the run end.
+        self.net.set_run_end(max_cycles);
         let mut regions = self.carve(&specs);
 
         let barrier = SpinBarrier::new(p);
