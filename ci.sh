@@ -32,9 +32,8 @@ echo "==> ntg-cpu differential suite (long, release)"
 timeout 300 cargo test --release -q -p ntg-cpu --lib -- --ignored
 
 # Bench smoke: the quick Table 2 preset exercises the whole
-# trace → translate → replay flow (with event-horizon cycle skipping on
-# by default; NTG_NO_SKIP=1 is the escape hatch), and a sweep dry-run
-# checks campaign expansion. Bounded so a hang fails fast instead of
+# trace → translate → replay flow, and a sweep dry-run checks campaign
+# expansion. Bounded so a hang fails fast instead of
 # wedging CI. The root manifest is a package as well as a workspace, so
 # the tier-1 build above does not refresh member binaries — build them
 # explicitly or the smoke runs a stale ntg-sweep/table2.
@@ -47,65 +46,6 @@ timeout 300 ./target/release/table2 --quick --threads 2 > /dev/null
 echo "==> bench smoke: ntg-sweep --dry-run"
 timeout 60 ./target/release/ntg-sweep --preset quick --dry-run > /dev/null
 
-# Hot-path perf harness smoke: run the fixed benchmark subset at smoke
-# scale, validate the emitted JSON against the v4 schema, and re-check
-# the cycle-skipping, partitioning and sparse-scheduling bit-identity
-# contracts from the recorded legs (ntg-bench also asserts them
-# internally; this guards the file format).
-echo "==> bench smoke: ntg-bench --smoke + schema check"
-BENCH_SMOKE_JSON=$(mktemp)
-timeout 300 ./target/release/ntg-bench --smoke --out "$BENCH_SMOKE_JSON" > /dev/null
-python3 - "$BENCH_SMOKE_JSON" <<'PYEOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["schema"] == "ntg-bench-hotpath-v4", r.get("schema")
-for key in ("mode", "warmup", "repeats", "threads", "host_cpus", "campaign",
-            "peak_rss_kb", "alloc", "points", "big_mesh"):
-    assert key in r, f"missing {key}"
-assert r["threads"] >= 1, "worker count must be recorded"
-assert r["host_cpus"] >= 1, "host CPU count must be recorded"
-for key in ("jobs", "wall_s_threads_1", "wall_s_threads_n", "parallel_speedup"):
-    assert key in r["campaign"], f"campaign missing {key}"
-assert r["campaign"]["jobs"] >= 1, "campaign leg ran no jobs"
-assert isinstance(r["points"], list) and r["points"], "no benchmark points"
-for p in r["points"]:
-    for leg in ("arm", "tg_skip", "tg_noskip"):
-        for field in ("cycles", "ticked_cycles", "skipped_cycles",
-                      "visited_component_cycles", "total_component_cycles",
-                      "transactions", "wall_s", "ticked_per_sec"):
-            assert field in p[leg], f"{p['bench']}: {leg} missing {field}"
-    assert p["tg_skip"]["cycles"] == p["tg_noskip"]["cycles"], \
-        f"{p['bench']}: skip on/off cycle mismatch"
-    assert p["tg_skip"]["transactions"] == p["tg_noskip"]["transactions"], \
-        f"{p['bench']}: skip on/off transaction mismatch"
-    assert p["tg_noskip"]["skipped_cycles"] == 0
-assert isinstance(r["big_mesh"], list) and r["big_mesh"], "no big-mesh points"
-for m in r["big_mesh"]:
-    for key in ("mesh", "masters", "packets", "spec", "sim_threads", "serial",
-                "partitioned", "partitions", "barrier_crossings",
-                "barrier_stalls", "parallel_speedup", "active_sched",
-                "oversubscribed"):
-        assert key in m, f"big_mesh {m.get('mesh')}: missing {key}"
-    assert m["partitions"] >= 2, f"{m['mesh']}: did not partition"
-    assert m["serial"]["cycles"] == m["partitioned"]["cycles"], \
-        f"{m['mesh']}: serial/partitioned cycle mismatch"
-    assert m["serial"]["transactions"] == m["partitioned"]["transactions"], \
-        f"{m['mesh']}: serial/partitioned transaction mismatch"
-    sched = m["active_sched"]
-    for key in ("dense", "visited_component_cycles", "total_component_cycles",
-                "visit_ratio", "speedup_vs_dense"):
-        assert key in sched, f"{m['mesh']}: active_sched missing {key}"
-    assert sched["dense"]["cycles"] == m["serial"]["cycles"], \
-        f"{m['mesh']}: sparse/dense cycle mismatch"
-    assert sched["dense"]["transactions"] == m["serial"]["transactions"], \
-        f"{m['mesh']}: sparse/dense transaction mismatch"
-    assert 0 < sched["visited_component_cycles"] < sched["total_component_cycles"], \
-        f"{m['mesh']}: sparse scheduling never engaged"
-print(f"ntg-bench smoke: {len(r['points'])} points, "
-      f"{len(r['big_mesh'])} big-mesh points OK")
-PYEOF
-rm -f "$BENCH_SMOKE_JSON"
-
 # Repo benchmark harness (BENCHMARK.json): a package of its own that
 # path-depends on crates/* from outside the workspace, so nothing above
 # compiles it. Run it at smoke size with every check on, then its own
@@ -114,18 +54,14 @@ echo "==> benchmark harness: run.sh --smoke + cargo test"
 timeout 600 benchmark/run.sh --smoke > /dev/null
 timeout 900 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-# Zero-allocation steady state: the counting allocator asserts the
-# ticked hot path performs no heap allocations after warmup — for the
-# serial engine, the partitioned lockstep engine and the sparse
-# O(active) scheduler (the latter two live in their own binaries so the
-# global counter measures alone). `alloc_count` holds four tests that
-# share that process-wide counter, so they run one at a time: on a
-# multi-CPU host the default parallel test threads count each other's
-# set-up allocations.
+# Zero-allocation steady state: the counting allocator asserts the hot
+# path performs no heap allocations after warmup, ticked densely
+# (`Platform::step`) and scheduled (`Platform::run`). The tests share
+# one process-wide counter, so they run one at a time: on a multi-CPU
+# host the default parallel test threads count each other's set-up
+# allocations.
 echo "==> alloc-count regression tests"
 cargo test -q -p ntg-bench --features alloc-count --test alloc_count -- --test-threads=1
-cargo test -q -p ntg-bench --features alloc-count --test partition_alloc
-cargo test -q -p ntg-bench --features alloc-count --test sched_alloc
 
 # Persistent-store smoke: the same tiny campaign twice against a scratch
 # store — the second run must pull every artifact from disk (zero
@@ -181,33 +117,19 @@ timeout 60 ./target/release/ntg-report crates/report/tests/data/synmini.jsonl \
 cmp "$SYN_SMOKE_DIR/report.md" crates/report/tests/golden/synmini/report.md
 cmp "$SYN_SMOKE_DIR/saturation.csv" crates/report/tests/golden/synmini/saturation.csv
 
-# Partition smoke: one mesh campaign run serially and with four-way
-# intra-run partitioning — the canonical file and the metrics sidecar
-# must be byte-identical (partitioning is a pure wall-time knob). The
-# spec exercises both new axes: an explicit `xpipes:WxH` fabric and the
-# `--mesh-sizes` append.
-echo "==> partition smoke: --sim-threads 4 is byte-identical"
-PART_SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$STORE_SMOKE_DIR" "$REPORT_SMOKE_DIR" "$SYN_SMOKE_DIR" "$PART_SMOKE_DIR"' EXIT
-PSWEEP="timeout 300 ./target/release/ntg-sweep --workloads synthetic:48 \
+# Mesh smoke: a campaign over both mesh axes — an explicit `xpipes:WxH`
+# fabric and the `--mesh-sizes` append — must be deterministic: two
+# runs, byte-identical canonical files and metrics sidecars.
+echo "==> mesh smoke: deterministic xpipes:WxH + --mesh-sizes campaign"
+MESH_SMOKE_DIR=$(mktemp -d)
+trap 'rm -rf "$STORE_SMOKE_DIR" "$REPORT_SMOKE_DIR" "$SYN_SMOKE_DIR" "$MESH_SMOKE_DIR"' EXIT
+MSWEEP="timeout 300 ./target/release/ntg-sweep --workloads synthetic:48 \
     --cores 4 --fabrics xpipes:4x4 --mesh-sizes 6x6 --masters synthetic \
     --patterns transpose --shapes bernoulli --rates 0.1 --no-store --quiet"
-$PSWEEP --out "$PART_SMOKE_DIR/serial.jsonl" --sim-threads 1 > /dev/null
-$PSWEEP --out "$PART_SMOKE_DIR/banded.jsonl" --sim-threads 4 > /dev/null
-cmp "$PART_SMOKE_DIR/serial.jsonl" "$PART_SMOKE_DIR/banded.jsonl"
-# The timings sidecar is allowed to differ (it records sim_threads and
-# wall time); the metrics sidecar carries simulation results only.
-cmp "$PART_SMOKE_DIR/serial.jsonl.metrics.jsonl" "$PART_SMOKE_DIR/banded.jsonl.metrics.jsonl"
-
-# Active-sched smoke: the same mesh campaign with the wake wheel
-# disabled via the env escape hatch must write byte-identical canonical
-# and metrics files — O(active) scheduling is a pure wall-time knob,
-# exactly like skipping and partitioning (the timings sidecar may
-# differ: it records the visited/total component-cycle diagnostics).
-echo "==> active-sched smoke: NTG_NO_ACTIVE_SCHED=1 is byte-identical"
-NTG_NO_ACTIVE_SCHED=1 $PSWEEP --out "$PART_SMOKE_DIR/dense.jsonl" --sim-threads 4 > /dev/null
-cmp "$PART_SMOKE_DIR/banded.jsonl" "$PART_SMOKE_DIR/dense.jsonl"
-cmp "$PART_SMOKE_DIR/banded.jsonl.metrics.jsonl" "$PART_SMOKE_DIR/dense.jsonl.metrics.jsonl"
+$MSWEEP --out "$MESH_SMOKE_DIR/a.jsonl" > /dev/null
+$MSWEEP --out "$MESH_SMOKE_DIR/b.jsonl" > /dev/null
+cmp "$MESH_SMOKE_DIR/a.jsonl" "$MESH_SMOKE_DIR/b.jsonl"
+cmp "$MESH_SMOKE_DIR/a.jsonl.metrics.jsonl" "$MESH_SMOKE_DIR/b.jsonl.metrics.jsonl"
 
 echo "==> report smoke: figure2 timelines parse as JSON"
 timeout 120 ./target/release/figure2 "$REPORT_SMOKE_DIR" > /dev/null
@@ -230,7 +152,7 @@ PYEOF
 # local store rebuilds nothing (the remote counters prove it).
 echo "==> serve smoke: submit/watch/fetch matches local run"
 SERVE_SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$STORE_SMOKE_DIR" "$REPORT_SMOKE_DIR" "$SYN_SMOKE_DIR" "$PART_SMOKE_DIR" "$SERVE_SMOKE_DIR"; kill "${SERVE_PID:-0}" 2> /dev/null || true' EXIT
+trap 'rm -rf "$STORE_SMOKE_DIR" "$REPORT_SMOKE_DIR" "$SYN_SMOKE_DIR" "$MESH_SMOKE_DIR" "$SERVE_SMOKE_DIR"; kill "${SERVE_PID:-0}" 2> /dev/null || true' EXIT
 ./target/release/ntg-serve --listen 127.0.0.1:0 --data "$SERVE_SMOKE_DIR/data" \
     --workers 2 --addr-file "$SERVE_SMOKE_DIR/addr" --quiet > /dev/null &
 SERVE_PID=$!

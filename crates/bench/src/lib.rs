@@ -13,9 +13,9 @@
 //! | `explore` | §1 motivation — one TG program set, four interconnects |
 //!
 //! The benches under `benches/` (on the in-tree [`minibench`] harness)
-//! measure the same ARM-vs-TG simulation-speed contrast repeatedly; the
-//! `ntg-bench` binary distils a fixed subset into the checked-in
-//! `BENCH_hotpath.json` performance trajectory.
+//! measure the same ARM-vs-TG simulation-speed contrast repeatedly.
+//! Speed claims are measured by the repo benchmark (`benchmark/run.sh`),
+//! not here.
 //!
 //! This library holds the shared machinery: running a reference
 //! simulation, translating its traces, replaying with TGs, and
@@ -176,6 +176,19 @@ pub fn run_checked(platform: &mut Platform, what: &str) -> RunReport {
     report
 }
 
+/// Drives `platform` to `max_cycles` (absolute, like `Platform::run`)
+/// with the dense reference loop — `Platform::step`, one cycle per call
+/// so a core never executes ahead of `now` — and returns its report:
+/// the oracle the engine-equivalence suites diff `Platform::run` against.
+pub fn run_oracle(platform: &mut Platform, max_cycles: u64) -> RunReport {
+    let mut now = platform.report().cycles;
+    while now < max_cycles && !platform.is_quiesced() {
+        platform.step(1);
+        now += 1;
+    }
+    platform.report()
+}
+
 /// Replays TG images on a given interconnect and returns the run report.
 pub fn replay(
     workload: Workload,
@@ -257,14 +270,6 @@ pub fn median(samples: &mut [Duration]) -> Duration {
     }
     samples.sort_unstable();
     samples[samples.len() / 2]
-}
-
-/// Peak resident set size of this process in kilobytes (`VmHWM` from
-/// `/proc/self/status`), or `None` on platforms without procfs.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Minimal stand-in for the slice of the Criterion API the `benches/`

@@ -1,15 +1,30 @@
-//! Zero-allocation steady-state regression test.
+//! Zero-allocation steady-state regression tests, one leg per way of
+//! advancing a platform.
 //!
-//! With the inline `DataWords` payloads and interned identifiers, the
-//! ticked hot path — master tick, interconnect tick, slave tick — must
-//! not touch the heap at all once the platform has warmed up: every
-//! request/response payload fits the inline representation and every
-//! queue has reached its high-water capacity. This test pins that down
-//! with the counting global allocator; a single new `Vec` per cycle
-//! anywhere in the data plane fails it.
+//! **Dense leg (`Platform::step`).** With the inline `DataWords`
+//! payloads and interned identifiers, the ticked hot path — master tick,
+//! interconnect tick, slave tick — must not touch the heap at all once
+//! the platform has warmed up: every request/response payload fits the
+//! inline representation and every queue has reached its high-water
+//! capacity. `step` ticks every component every cycle and builds no
+//! report, so the counting global allocator sees the data plane alone;
+//! a single new `Vec` per cycle anywhere in it fails the test.
 //!
-//! Runs only under `--features alloc-count` (CI's bench-smoke stage does
-//! so); without the feature the file compiles to nothing.
+//! **Sparse leg (`Platform::run`).** The wake wheel, due queues,
+//! catch-up table and visit buffer are all sized by component count when
+//! `run` seeds the scheduler; from then on insert/expire/visit work on
+//! intrusive lists and pre-grown buffers. `run` allocates at entry and
+//! for its report, so this leg runs the same endless-traffic recipe to
+//! a 100k-cycle bound and to a 400k bound and asserts the two
+//! allocation counts are *equal* — seeding, queue growth and report
+//! assembly cancel out, and any difference can only come from per-cycle
+//! allocations in the extra 300k scheduled cycles.
+//!
+//! The counting allocator is global, so a test allocating concurrently
+//! would poison a neighbour's diff: run this binary with
+//! `--test-threads=1` (CI does). Runs only under
+//! `--features alloc-count`; without the feature the file compiles to
+//! nothing.
 
 #![cfg(feature = "alloc-count")]
 
@@ -28,7 +43,6 @@ fn steady_state_ticks_do_not_allocate() {
         .expect("build TG platform");
     // Tick-by-tick: `step` never skips, so every cycle exercises the
     // full data plane, and it builds no report that would allocate.
-    p.set_cycle_skipping(false);
 
     // Warm up: first transactions grow channel queues and stats buffers
     // to their steady-state capacity.
@@ -63,7 +77,6 @@ fn steady_state_ticks_do_not_allocate_with_metrics_enabled() {
     let mut p = workload
         .build_tg_platform(images, InterconnectChoice::Amba, false)
         .expect("build TG platform");
-    p.set_cycle_skipping(false);
     p.enable_metrics();
 
     p.step(2_000);
@@ -95,7 +108,6 @@ fn synthetic_steady_state_ticks_do_not_allocate() {
     let spec: SyntheticSpec = "uniform+bernoulli@0.1/4".parse().unwrap();
     let mut p = build_synthetic_platform(4, InterconnectChoice::Xpipes, spec, 1_000_000, 42)
         .expect("build synthetic platform");
-    p.set_cycle_skipping(false);
     p.enable_metrics();
 
     p.step(2_000);
@@ -133,7 +145,6 @@ fn two_platforms_on_two_threads_stay_allocation_free() {
         let mut p = workload
             .build_tg_platform(images.clone(), InterconnectChoice::Amba, false)
             .expect("build TG platform");
-        p.set_cycle_skipping(false);
         p.enable_metrics();
         p
     };
@@ -164,4 +175,47 @@ fn two_platforms_on_two_threads_stay_allocation_free() {
             );
         }
     });
+}
+
+/// Allocations for one bounded `run`, start to finish.
+fn run_allocations(bound: u64) -> u64 {
+    // Effectively endless traffic: the packet budget outlives both
+    // bounds by orders of magnitude, so each run is cut off mid-flight
+    // with the wheel still cycling sleep/wake for every master.
+    let spec: SyntheticSpec = "uniform+bernoulli@0.1/4".parse().unwrap();
+    let mut p = build_synthetic_platform(6, InterconnectChoice::Mesh(4, 4), spec, 1_000_000, 42)
+        .expect("build synthetic platform");
+    p.enable_metrics();
+    let before = alloc_count::allocations();
+    let report = p.run(bound);
+    let allocs = alloc_count::allocations() - before;
+    assert!(!report.completed, "traffic must outlive the {bound} bound");
+    assert_eq!(report.cycles, bound, "run must stop at the bound");
+    assert!(
+        report.visited_component_cycles < report.total_component_cycles,
+        "the wake wheel never engaged ({} of {})",
+        report.visited_component_cycles,
+        report.total_component_cycles,
+    );
+    allocs
+}
+
+#[test]
+fn run_steady_state_does_not_allocate() {
+    // Two measurement hazards, both handled. The first run in a process
+    // carries one-time lazy initialisations (thread-locals, stdio), so a
+    // warm-up run is measured and discarded. And queue high-water marks
+    // keep growing for a while: this recipe's last capacity doubling
+    // lands between cycle 50k and 100k, after which the counts sit on a
+    // plateau — both compared bounds are on it.
+    let _warmup = run_allocations(100_000);
+    let short = run_allocations(100_000);
+    let long = run_allocations(400_000);
+    assert_eq!(
+        long,
+        short,
+        "the extra 300k scheduled cycles allocated {} times — the wake \
+         wheel must stay allocation-free after seeding",
+        long.abs_diff(short)
+    );
 }

@@ -6,6 +6,7 @@
 //! landed; `ntg-cpu`'s own differential suite diffs the two cores
 //! instruction by instruction.
 
+use ntg_bench::run_oracle;
 use ntg_cpu::Asm;
 use ntg_platform::{
     mem_map, InterconnectChoice, MasterReport, Platform, PlatformBuilder, RunReport,
@@ -16,14 +17,13 @@ use ntg_workloads::Workload;
 const MAX: u64 = 200_000_000;
 
 /// A report with the engine diagnostics that legitimately differ between
-/// engines (wall time, the skipped/ticked split, visit counts, partition
-/// statistics) blanked, rendered for byte comparison.
+/// `run` and the `step` oracle (wall time, the skipped/ticked split,
+/// visit counts) blanked, rendered for byte comparison.
 fn canonical(mut report: RunReport) -> String {
     report.wall_time = std::time::Duration::ZERO;
     report.skipped_cycles = 0;
     report.ticked_cycles = 0;
     report.visited_component_cycles = 0;
-    report.partition = None;
     format!("{report:?}")
 }
 
@@ -45,14 +45,17 @@ const SPIN_INSTRUCTIONS_AT_5000: u64 = 4_991;
 #[test]
 fn a_spinning_core_stops_at_the_run_limit() {
     // Without the stop-cycle cap the burst loop never returns from the
-    // first visit after the refill. Every engine must stop at 5 000 with
-    // the per-cycle core's instruction count: the refill completes at
-    // cycle 9 on the default AMBA platform, then one `j` per cycle.
-    for (skip, sparse) in [(true, true), (true, false), (false, false)] {
+    // first visit after the refill. `run` and the oracle must both stop
+    // at 5 000 with the per-cycle core's instruction count: the refill
+    // completes at cycle 9 on the default AMBA platform, then one `j`
+    // per cycle.
+    for oracle in [false, true] {
         let mut p = spin_platform();
-        p.set_cycle_skipping(skip);
-        p.set_active_scheduling(sparse);
-        let report = p.run(5_000);
+        let report = if oracle {
+            run_oracle(&mut p, 5_000)
+        } else {
+            p.run(5_000)
+        };
         assert!(!report.completed);
         assert_eq!(report.cycles, 5_000);
         assert_eq!(report.finish_cycles, vec![None]);
@@ -105,62 +108,48 @@ fn resuming_a_capped_run_matches_one_long_run() {
 }
 
 #[test]
-fn capped_runs_agree_across_engines() {
+fn capped_runs_match_the_oracle() {
     // An incomplete run's report — every `CpuStats` field included —
-    // does not depend on which loop drove it.
+    // is the oracle's: a core mid-burst at the cap has executed exactly
+    // the instructions of the cycles before it.
     let workload = Workload::MpMatrix { n: 8 };
+    let build = || {
+        workload
+            .build_platform(2, InterconnectChoice::Amba, false)
+            .expect("build")
+    };
     for cap in [500, 2_345, 6_000] {
-        let mut reports = Vec::new();
-        for (skip, sparse) in [(true, true), (true, false), (false, false)] {
-            let mut p = workload
-                .build_platform(2, InterconnectChoice::Amba, false)
-                .expect("build");
-            p.set_cycle_skipping(skip);
-            p.set_active_scheduling(sparse);
-            let report = p.run(cap);
-            assert!(!report.completed, "cap {cap} is mid-run");
-            reports.push(canonical(report));
-        }
-        assert_eq!(reports[0], reports[1], "cap {cap}: sparse vs dense");
-        assert_eq!(reports[0], reports[2], "cap {cap}: sparse vs no-skip");
+        let report = build().run(cap);
+        assert!(!report.completed, "cap {cap} is mid-run");
+        let reference = run_oracle(&mut build(), cap);
+        assert_eq!(canonical(report), canonical(reference), "cap {cap}");
     }
 }
 
 #[test]
-fn cpu_on_xpipes_reports_are_engine_independent() {
-    // Serial sparse, two partition threads, skipping off, active
-    // scheduling off: byte-identical reports apart from the engine
-    // diagnostics, and identical traces.
+fn cpu_on_xpipes_reports_match_the_oracle() {
+    // Run-ahead cores on the mesh, tracing and metrics on: a
+    // byte-identical report apart from the engine diagnostics, identical
+    // traces, and the golden result either way.
     let workload = Workload::MpMatrix { n: 8 };
     let cores = 2;
     let fabric = InterconnectChoice::Mesh(2, 4);
-    let run = |skip: bool, sparse: bool, threads: usize| {
+    let drive = |oracle: bool| {
         let mut p = workload.build_platform(cores, fabric, true).expect("build");
-        p.set_cycle_skipping(skip);
-        p.set_active_scheduling(sparse);
         p.enable_metrics();
-        let report = if threads == 0 {
-            p.run(MAX)
+        let report = if oracle {
+            run_oracle(&mut p, MAX)
         } else {
-            p.run_with_threads(MAX, threads)
+            p.run(MAX)
         };
         assert!(report.completed && report.faults.is_empty());
         workload.verify(&p, cores).expect("golden result");
-        let partitioned = report.partition.is_some();
         let trcs: Vec<String> = p.traces().iter().map(|t| t.to_trc()).collect();
-        (canonical(report), trcs, partitioned)
+        (canonical(report), trcs)
     };
-    let serial = run(true, true, 0);
-    assert!(!serial.2);
-    let banded = run(true, true, 2);
-    assert!(banded.2, "two threads must partition the 2x4 mesh");
-    assert_eq!(serial.0, banded.0, "serial vs 2 threads");
-    assert_eq!(serial.1, banded.1, "serial vs 2 threads: traces");
-    for (skip, sparse) in [(false, false), (true, false)] {
-        let other = run(skip, sparse, 0);
-        assert_eq!(serial.0, other.0, "skip={skip} sparse={sparse}");
-        assert_eq!(serial.1, other.1, "skip={skip} sparse={sparse}: traces");
-    }
+    let (ran, reference) = (drive(false), drive(true));
+    assert_eq!(ran.0, reference.0, "run vs oracle");
+    assert_eq!(ran.1, reference.1, "run vs oracle: traces");
 }
 
 #[test]

@@ -469,10 +469,10 @@ mod tests {
     /// How a core under test is visited.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Drive {
-        /// Ticked every cycle, like the dense loops.
+        /// Ticked every cycle, like `Platform::step`.
         EveryCycle,
         /// Ticked only in cycles its `next_activity` hint names, like
-        /// the sparse engine (the hint is re-read every cycle, which
+        /// `Platform::run` (the hint is re-read every cycle, which
         /// stands in for the engine's link wake-ups).
         OnDemand,
     }

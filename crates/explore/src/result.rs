@@ -15,10 +15,9 @@
 //!   not deterministic and must not break byte-identity.
 //! * **`<out>.metrics.jsonl`** — per-job observability metrics
 //!   ([`JobMetrics`]: fabric utilization, arbitration contention, TG
-//!   state residency, semaphore counters). A sidecar like the timings:
-//!   windowed samples may differ with cycle skipping, so they must not
-//!   enter the canonical file. `ntg-report` joins it with the canonical
-//!   file by job id.
+//!   state residency, semaphore counters). A sidecar like the timings,
+//!   so the canonical line stays small; `ntg-report` joins it with the
+//!   canonical file by job id.
 //!
 //! The header records a fingerprint of the expanded campaign
 //! ([`CampaignSpec::fingerprint`](crate::CampaignSpec::fingerprint)), so
@@ -172,9 +171,9 @@ pub struct JobResult {
 /// Per-job observability metrics, collected by the platform's opt-in
 /// metrics layer and written to the `.metrics.jsonl` sidecar.
 ///
-/// Non-canonical by design: windowed series attribute skipped cycle
-/// stretches to their first cycle, so byte content may differ between
-/// cycle-skipping on/off even though every *counter* is exact.
+/// Diagnostic rather than canonical: kept out of the byte-reproducible
+/// result file like wall time, though every value here is a pure
+/// function of the simulation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct JobMetrics {
     /// Cycles the fabric spent occupied carrying traffic.

@@ -64,13 +64,6 @@ pub struct RunOptions {
     /// (header + that shard's lines). [`merge_shards`] reassembles the
     /// full canonical file.
     pub shard: Option<(usize, usize)>,
-    /// Worker threads *inside* each simulation: `>= 2` partitions every
-    /// canonical-mesh xpipes platform into link-range bands advanced in
-    /// cycle lockstep ([`Platform::run_with_threads`]); other fabrics
-    /// fall back to the serial engine. Orthogonal to
-    /// [`threads`](Self::threads) (parallelism across jobs) and, like
-    /// it, affects only wall time: results are bit-identical.
-    pub sim_threads: usize,
     /// Remote artifact tier attached behind the disk store. Ignored
     /// without [`store`](Self::store) — the remote tier only exchanges
     /// framed entries with a local disk level, never feeds the
@@ -87,7 +80,6 @@ impl Default for RunOptions {
             quiet: true,
             store: None,
             shard: None,
-            sim_threads: 1,
             remote: None,
         }
     }
@@ -208,17 +200,15 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOu
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = pending.get(i) else { break };
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_job(job, spec, &cache, opts.sim_threads)
-                }))
-                .unwrap_or_else(|p| {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "worker panicked".into());
-                    JobResult::failed(job, format!("panic: {msg}"))
-                });
+                let result = catch_unwind(AssertUnwindSafe(|| run_job(job, spec, &cache)))
+                    .unwrap_or_else(|p| {
+                        let msg = p
+                            .downcast_ref::<&str>()
+                            .map(|s| (*s).to_string())
+                            .or_else(|| p.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "worker panicked".into());
+                        JobResult::failed(job, format!("panic: {msg}"))
+                    });
                 let n = progress.fetch_add(1, Ordering::Relaxed) + 1;
                 if !opts.quiet {
                     eprintln!("[{n}/{selected_total}] {}", describe(&result));
@@ -256,7 +246,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOu
     let wall_secs = started.elapsed().as_secs_f64();
     if let Some(out) = &opts.out {
         write_canonical(out, &header, &results)?;
-        write_timings(out, &header, &results, opts, wall_secs)?;
+        write_timings(out, &header, &results, workers, wall_secs)?;
         write_metrics(out, &header, &results)?;
         let _ = fs::remove_file(partial_path(out));
     }
@@ -559,7 +549,7 @@ fn write_timings(
     out: &Path,
     header: &CampaignHeader,
     results: &[JobResult],
-    opts: &RunOptions,
+    workers: usize,
     wall_secs: f64,
 ) -> Result<(), String> {
     let path = timings_path(out);
@@ -567,11 +557,9 @@ fn write_timings(
     text.push_str(
         &Json::Obj(vec![
             ("campaign".into(), Json::Str(header.name.clone())),
-            ("threads".into(), Json::Int(opts.threads as i64)),
-            (
-                "sim_threads".into(),
-                Json::Int(opts.sim_threads.max(1) as i64),
-            ),
+            // The worker count that actually ran, so `--threads 0`
+            // (auto-detect) records what it resolved to.
+            ("threads".into(), Json::Int(workers as i64)),
             ("wall_secs".into(), Json::Float(wall_secs)),
         ])
         .render(),
@@ -654,13 +642,8 @@ fn describe(r: &JobResult) -> String {
 /// Runs one job, consulting the artifact cache for trace and TG-image
 /// reuse. Never panics for modelled outcomes (cycle-bound hits, faults,
 /// failed verification) — those are recorded in the result.
-fn run_job(
-    job: &JobSpec,
-    spec: &CampaignSpec,
-    cache: &ArtifactCache,
-    sim_threads: usize,
-) -> JobResult {
-    match run_job_inner(job, spec, cache, sim_threads) {
+fn run_job(job: &JobSpec, spec: &CampaignSpec, cache: &ArtifactCache) -> JobResult {
+    match run_job_inner(job, spec, cache) {
         Ok(r) => r,
         Err(e) => JobResult::failed(job, e),
     }
@@ -670,11 +653,10 @@ fn run_job_inner(
     job: &JobSpec,
     spec: &CampaignSpec,
     cache: &ArtifactCache,
-    sim_threads: usize,
 ) -> Result<JobResult, String> {
     match job.master {
         MasterChoice::Cpu => {
-            let (report, verified) = run_repeats(job, sim_threads, |_| {
+            let (report, verified) = run_repeats(job, |_| {
                 job.workload
                     .build_platform(job.cores, job.interconnect, false)
                     .map_err(|e| format!("build: {e}"))
@@ -709,7 +691,7 @@ fn run_job_inner(
                     })
                     .collect()
             })?;
-            let (report, verified) = run_repeats(job, sim_threads, |_| {
+            let (report, verified) = run_repeats(job, |_| {
                 job.workload
                     .build_tg_platform(images.as_ref().clone(), job.interconnect, false)
                     .map_err(|e| format!("build: {e}"))
@@ -724,7 +706,7 @@ fn run_job_inner(
         }
         MasterChoice::Stochastic => {
             let (artifact, trace_hit) = trace_artifact(job, spec, cache)?;
-            let (report, _) = run_repeats(job, sim_threads, |_| {
+            let (report, _) = run_repeats(job, |_| {
                 let mut b = PlatformBuilder::new();
                 b.interconnect(job.interconnect);
                 for (core, cfg) in artifact.calibration.iter().enumerate() {
@@ -746,7 +728,7 @@ fn run_job_inner(
             let Workload::Synthetic { packets } = job.workload else {
                 return Err("synthetic masters pair only with the synthetic workload".into());
             };
-            let (report, _) = run_repeats(job, sim_threads, |_| {
+            let (report, _) = run_repeats(job, |_| {
                 build_synthetic_platform(
                     job.cores,
                     job.interconnect,
@@ -802,13 +784,9 @@ fn trace_artifact(
 
 /// Builds and runs the job's platform `repeats` times (cycle counts are
 /// deterministic across repeats; wall time takes the minimum), checking
-/// the golden model on the first completed run. `sim_threads >= 2`
-/// routes through the partitioned scheduler, which falls back to the
-/// serial loop wherever the platform cannot split — either way the
-/// report is bit-identical.
+/// the golden model on the first completed run.
 fn run_repeats(
     job: &JobSpec,
-    sim_threads: usize,
     mut build: impl FnMut(usize) -> Result<Platform, String>,
 ) -> Result<(RunReport, Option<bool>), String> {
     let mut verified = None;
@@ -817,11 +795,7 @@ fn run_repeats(
     for i in 0..job.repeats.max(1) {
         let mut p = build(i)?;
         p.enable_metrics();
-        let report = if sim_threads >= 2 {
-            p.run_with_threads(job.max_cycles, sim_threads)
-        } else {
-            p.run(job.max_cycles)
-        };
+        let report = p.run(job.max_cycles);
         if i == 0 && report.completed && report.faults.is_empty() {
             verified = Some(job.workload.verify(&p, job.cores).is_ok());
         }

@@ -43,7 +43,7 @@ mod xpipes;
 pub use amba::{AmbaBus, Arbitration, BusStats};
 pub use crossbar::CrossbarBus;
 pub use ideal::IdealInterconnect;
-pub use xpipes::{RegionSpec, XpipesConfig, XpipesNoc};
+pub use xpipes::{XpipesConfig, XpipesNoc};
 
 use ntg_ocp::{LinkArena, LinkId};
 use ntg_sim::observe::Contention;
@@ -112,13 +112,6 @@ pub trait Interconnect: Component<LinkArena> + Send {
     /// maintained alloc-free at transaction events during simulation.
     fn contention(&self) -> Contention {
         Contention::new(0)
-    }
-
-    /// Downcast hook for the partitioned-mesh scheduler: the ×pipes NoC
-    /// returns itself, every other fabric (which has no spatial
-    /// partition to exploit) returns `None`.
-    fn as_xpipes_mut(&mut self) -> Option<&mut XpipesNoc> {
-        None
     }
 
     /// Switches the model between dense per-tick scanning (the default)

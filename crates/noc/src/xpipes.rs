@@ -2,8 +2,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ntg_mem::AddressMap;
 use ntg_ocp::{LinkArena, LinkId, MasterPort, OcpRequest, OcpResponse, SlavePort};
@@ -399,111 +398,6 @@ enum Attach {
     Slave(usize),
 }
 
-/// Bit 63 of an encoded boundary flit: slot occupied.
-const FLIT_PRESENT: u64 = 1 << 63;
-
-/// Packs a [`Flit`] into one word for a boundary slot's atomic.
-fn encode_flit(f: Flit) -> u64 {
-    FLIT_PRESENT
-        | (u64::from(f.is_head) << 62)
-        | (u64::from(f.is_tail) << 61)
-        | (u64::from(f.dst) << 32)
-        | u64::from(f.pid)
-}
-
-fn decode_flit(bits: u64) -> Flit {
-    debug_assert!(bits & FLIT_PRESENT != 0);
-    Flit {
-        pid: bits as u32,
-        is_head: bits & (1 << 62) != 0,
-        is_tail: bits & (1 << 61) != 0,
-        dst: (bits >> 32) as u16,
-    }
-}
-
-/// One directed cross-partition link crossing.
-///
-/// A slot carries at most one flit per cycle — exactly the capacity of
-/// the mesh link it stands in for. The exporter writes between the
-/// partition scheduler's phase barriers, the importer drains at the start
-/// of the following phase; `occupancy` mirrors the destination input
-/// FIFO's end-of-cycle depth so the exporter can apply wormhole
-/// backpressure without touching the other partition's state. All
-/// accesses are relaxed: the phase barriers provide the ordering.
-struct BoundarySlot {
-    flit: AtomicU64,
-    /// Rides along with a head flit: the packet payload changes owner
-    /// when its head crosses the bisection.
-    packet: Mutex<Option<Packet>>,
-    occupancy: AtomicUsize,
-}
-
-impl BoundarySlot {
-    fn new() -> Self {
-        Self {
-            flit: AtomicU64::new(0),
-            packet: Mutex::new(None),
-            occupancy: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// The shared handoff fabric of a partitioned mesh: one [`BoundarySlot`]
-/// per directed link crossing each row-band bisection.
-///
-/// Row-band partitioning means only NORTH/SOUTH links ever cross a
-/// boundary, so boundary `b` (between region `b` and region `b + 1`)
-/// owns `width` southbound plus `width` northbound slots.
-pub struct MeshBoundary {
-    width: usize,
-    slots: Vec<BoundarySlot>,
-}
-
-impl MeshBoundary {
-    fn new(width: usize, regions: usize) -> Self {
-        let slots = (0..(regions - 1) * 2 * width)
-            .map(|_| BoundarySlot::new())
-            .collect();
-        Self { width, slots }
-    }
-
-    /// Southbound slot `x` of boundary `b` (flit leaving region `b`'s
-    /// last row through SOUTH, arriving in region `b + 1`'s first row).
-    fn south(&self, b: usize, x: usize) -> &BoundarySlot {
-        &self.slots[b * 2 * self.width + x]
-    }
-
-    /// Northbound slot `x` of boundary `b` (flit leaving region
-    /// `b + 1`'s first row through NORTH).
-    fn north(&self, b: usize, x: usize) -> &BoundarySlot {
-        &self.slots[b * 2 * self.width + self.width + x]
-    }
-}
-
-/// A region's handle onto the shared boundary fabric.
-struct RegionBoundary {
-    fabric: Arc<MeshBoundary>,
-    /// This region's index in the row-band order.
-    region: usize,
-    /// Total regions in the partition.
-    regions: usize,
-}
-
-/// One partition of a mesh: contiguous node, master-NI, slave-NI and
-/// arena-link ranges (all `lo..hi`), produced by
-/// [`XpipesNoc::partition_plan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionSpec {
-    /// Row-major mesh node range.
-    pub nodes: (u16, u16),
-    /// Master (and master-NI) index range.
-    pub masters: (usize, usize),
-    /// Slave (and slave-NI) index range.
-    pub slaves: (usize, usize),
-    /// `LinkArena` id range owned by the region.
-    pub links: (u32, u32),
-}
-
 /// Aggregate NoC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NocStats {
@@ -537,7 +431,7 @@ pub struct XpipesNoc {
     /// Every router input FIFO in one slab: router `r`'s input `p` is
     /// the ring `fifo[(r * 5 + p) * input_fifo_flits..][..input_fifo_flits]`.
     fifo: Vec<Flit>,
-    /// Mesh coordinates of every node of the whole mesh, so routing a
+    /// Mesh coordinates of every node, so routing a
     /// flit never divides.
     xy: Vec<(u16, u16)>,
     master_nis: Vec<MasterNi>,
@@ -552,21 +446,11 @@ pub struct XpipesNoc {
     conflicts: u64,
     grant_wait: Histogram,
     links: Vec<LinkMetrics>,
-    /// First mesh node owned by this instance: 0 for a whole mesh, the
-    /// region's band start for a split-off partition. `routers` holds
-    /// nodes `node_base .. node_base + routers.len()`.
-    node_base: u16,
-    /// Global index of `master_nis[0]` (0 for a whole mesh).
-    master_base: usize,
-    /// Global index of `slave_nis[0]` (0 for a whole mesh).
-    slave_base: usize,
-    /// Cross-partition handoff; present only on split-off regions.
-    boundary: Option<RegionBoundary>,
-    /// Local indices of routers currently holding flits — the
+    /// Indices of routers currently holding flits — the
     /// O(active-router) worklist the per-cycle stages iterate instead of
     /// scanning every router, so idle routers in a big mesh cost nothing.
     active: Vec<u32>,
-    /// Membership flags for `active`, indexed by local router.
+    /// Membership flags for `active`, indexed by router.
     in_active: Vec<bool>,
     /// Armed-NI worklists (see [`Interconnect::set_event_driven`]).
     event: EventState,
@@ -593,9 +477,9 @@ enum NiTarget {
 /// bit-identical to stepping it. Otherwise every NI stays armed.
 #[derive(Debug)]
 struct EventState {
-    /// Bit `i` set: local master NI `i` is armed.
+    /// Bit `i` set: master NI `i` is armed.
     mni_armed: Vec<u64>,
-    /// Bit `i` set: local slave NI `i` is armed.
+    /// Bit `i` set: slave NI `i` is armed.
     sni_armed: Vec<u64>,
     /// Arena link id → this instance's NI; empty unless event-driven.
     targets: Vec<NiTarget>,
@@ -703,10 +587,6 @@ impl XpipesNoc {
             conflicts: 0,
             grant_wait: Histogram::new("grant_wait_cycles"),
             links,
-            node_base: 0,
-            master_base: 0,
-            slave_base: 0,
-            boundary: None,
             active: Vec::with_capacity(nodes),
             in_active: vec![false; nodes],
             event,
@@ -724,7 +604,7 @@ impl XpipesNoc {
         &self.packet_latency
     }
 
-    /// Appends `flit` to input `inp` of local router `r` (the caller
+    /// Appends `flit` to input `inp` of router `r` (the caller
     /// has checked there is room) and puts the router on the worklist.
     #[inline]
     fn push_flit(&mut self, r: usize, inp: usize, flit: Flit) {
@@ -734,13 +614,13 @@ impl XpipesNoc {
         self.mark_active(r);
     }
 
-    /// Whether input `inp` of local router `r` can take another flit.
+    /// Whether input `inp` of router `r` can take another flit.
     #[inline]
     fn has_room(&self, r: usize, inp: usize) -> bool {
         usize::from(self.routers[r].len[inp]) < self.cfg.input_fifo_flits
     }
 
-    /// Marks local router `r` as holding flits, enqueuing it on the
+    /// Marks router `r` as holding flits, enqueuing it on the
     /// active worklist if it was idle.
     #[inline]
     fn mark_active(&mut self, r: usize) {
@@ -771,9 +651,8 @@ impl XpipesNoc {
     /// visited in the same pass has empty output registers, so the
     /// late visit is a no-op and results match a full scan exactly.
     fn link_stage(&mut self, net: &mut LinkArena, now: Cycle) {
-        // Local-index distance to the neighbour behind each mesh port.
-        // A step off this instance's first or last row wraps past
-        // `routers.len()`: that flit leaves the region.
+        // Index distance to the neighbour behind each mesh port. XY
+        // routing never steers a flit off the mesh edge.
         let w = usize::from(self.cfg.width);
         let step = [w.wrapping_neg(), 1, w, usize::MAX];
         let mut idx = 0;
@@ -786,128 +665,17 @@ impl XpipesNoc {
                 full &= full - 1;
                 let flit = self.routers[r].out[p];
                 if p == LOCAL {
-                    if self.deliver_local(net, self.node_base + r as u16, flit, now) {
+                    if self.deliver_local(net, r as u16, flit, now) {
                         self.routers[r].clear_out(p);
                     }
                     continue;
                 }
                 let nbr = r.wrapping_add(step[p]);
-                if nbr >= self.routers.len() {
-                    self.export_boundary(r, p, flit);
-                } else if self.has_room(nbr, opposite(p)) {
+                if self.has_room(nbr, opposite(p)) {
                     self.push_flit(nbr, opposite(p), flit);
                     self.routers[r].clear_out(p);
                     self.stats.flit_hops += 1;
                 }
-            }
-        }
-    }
-
-    /// Hands a flit leaving this region across the bisection.
-    ///
-    /// The slot's occupancy mirror carries the destination FIFO's
-    /// end-of-previous-cycle depth — exactly the value a serial
-    /// `link_stage` would have read, since downstream pops only happen in
-    /// the (later) switch stage — so backpressure decisions stay
-    /// bit-identical to serial execution.
-    fn export_boundary(&mut self, r: usize, port: usize, flit: Flit) {
-        let b = self
-            .boundary
-            .as_ref()
-            .expect("flit crossed a region edge with no boundary fabric");
-        let x = usize::from(self.routers[r].x);
-        let slot = match port {
-            SOUTH => b.fabric.south(b.region, x),
-            NORTH => b.fabric.north(b.region - 1, x),
-            _ => unreachable!("row-band regions only split north/south links"),
-        };
-        if slot.occupancy.load(Ordering::Relaxed) >= self.cfg.input_fifo_flits {
-            return;
-        }
-        // The head flit carries its packet across: payload ownership
-        // follows the wormhole's leading edge.
-        if flit.is_head {
-            let packet = self
-                .packets
-                .remove(&flit.pid)
-                .expect("exported head flit of unknown packet");
-            *slot.packet.lock().expect("boundary mutex poisoned") = Some(packet);
-        }
-        slot.flit.store(encode_flit(flit), Ordering::Relaxed);
-        self.routers[r].clear_out(port);
-        self.stats.flit_hops += 1;
-    }
-
-    /// Drains inbound boundary slots into this region's edge FIFOs.
-    ///
-    /// Runs at the start of the switch phase, after the barrier that
-    /// ends every region's link phase: the flits land in their FIFOs
-    /// before any switch stage runs, exactly as a serial `link_stage`
-    /// pass would have left them. A push never overflows — the exporter
-    /// already applied this FIFO's backpressure through the mirror.
-    fn import_boundary(&mut self) {
-        let Some(b) = self.boundary.as_ref() else {
-            return;
-        };
-        let (fabric, region, regions) = (Arc::clone(&b.fabric), b.region, b.regions);
-        let w = self.cfg.width as usize;
-        for x in 0..w {
-            // From the boundary above: southbound flits into our first row.
-            if region > 0 {
-                self.import_slot(fabric.south(region - 1, x), x, NORTH);
-            }
-            // From the boundary below: northbound flits into our last row.
-            if region + 1 < regions {
-                let local = self.routers.len() - w + x;
-                self.import_slot(fabric.north(region, x), local, SOUTH);
-            }
-        }
-    }
-
-    /// Moves the flit waiting in `slot`, if any, into input `inp` of
-    /// local router `r`.
-    fn import_slot(&mut self, slot: &BoundarySlot, r: usize, inp: usize) {
-        let bits = slot.flit.swap(0, Ordering::Relaxed);
-        if bits & FLIT_PRESENT == 0 {
-            return;
-        }
-        let flit = decode_flit(bits);
-        if flit.is_head {
-            let packet = slot
-                .packet
-                .lock()
-                .expect("boundary mutex poisoned")
-                .take()
-                .expect("imported head flit without packet");
-            self.packets.insert(flit.pid, packet);
-        }
-        self.push_flit(r, inp, flit);
-    }
-
-    /// Publishes end-of-cycle occupancy of this region's edge FIFOs into
-    /// the boundary mirrors the upstream exporters read next cycle.
-    fn publish_boundary_occupancy(&self) {
-        let Some(b) = self.boundary.as_ref() else {
-            return;
-        };
-        let w = self.cfg.width as usize;
-        for x in 0..w {
-            if b.region > 0 {
-                // Southbound flits arrive on our first row's NORTH input.
-                let depth = usize::from(self.routers[x].len[NORTH]);
-                b.fabric
-                    .south(b.region - 1, x)
-                    .occupancy
-                    .store(depth, Ordering::Relaxed);
-            }
-            if b.region + 1 < b.regions {
-                // Northbound flits arrive on our last row's SOUTH input.
-                let local = self.routers.len() - w + x;
-                let depth = usize::from(self.routers[local].len[SOUTH]);
-                b.fabric
-                    .north(b.region, x)
-                    .occupancy
-                    .store(depth, Ordering::Relaxed);
             }
         }
     }
@@ -935,25 +703,22 @@ impl XpipesNoc {
                         panic!("request packet delivered to a master NI")
                     };
                     debug_assert_eq!(dst_master, i);
-                    self.master_nis[i - self.master_base]
-                        .link
-                        .push_response(net, resp, now);
+                    self.master_nis[i].link.push_response(net, resp, now);
                 }
                 true
             }
             Attach::Slave(i) => {
                 // Bounded reassembly: refuse new flits while two complete
                 // packets already wait, creating wormhole backpressure.
-                let local = i - self.slave_base;
-                if self.slave_nis[local].pending.len() >= 2 {
+                if self.slave_nis[i].pending.len() >= 2 {
                     return false;
                 }
                 if flit.is_tail {
-                    self.slave_nis[local].pending.push_back(flit.pid);
+                    self.slave_nis[i].pending.push_back(flit.pid);
                     // The link stage runs before the NI stage, so the NI
                     // can serve this packet in the same cycle it would
                     // under a dense scan.
-                    self.event.arm_sni(local);
+                    self.event.arm_sni(i);
                 }
                 true
             }
@@ -1048,25 +813,19 @@ impl XpipesNoc {
                             .link
                             .accept_request(net, now)
                             .expect("peeked request is still there");
-                        let global = self.master_base + i;
                         self.transactions += 1;
                         self.grant_wait.record(stall);
-                        self.links[global].grants += 1;
-                        self.links[global].stall_cycles += stall;
-                        // The destination may live in another region,
-                        // so resolve its node from the full config.
+                        self.links[i].grants += 1;
+                        self.links[i].stall_cycles += stall;
                         let dst = self.cfg.slave_nodes[slave.0 as usize];
                         let len = 2 + req.data.len() as u32;
-                        self.links[global].busy_cycles += u64::from(len);
+                        self.links[i].busy_cycles += u64::from(len);
                         let pid = self.next_pid;
                         self.next_pid += 1;
                         self.packets.insert(
                             pid,
                             Packet {
-                                payload: Payload::Req {
-                                    req,
-                                    src_master: global,
-                                },
+                                payload: Payload::Req { req, src_master: i },
                                 injected_at: now,
                             },
                         );
@@ -1077,7 +836,7 @@ impl XpipesNoc {
             }
         }
         // Inject at most one flit per cycle.
-        let node = self.master_nis[i].node as usize - self.node_base as usize;
+        let node = self.master_nis[i].node as usize;
         if !self.master_nis[i].tx.is_empty() && self.has_room(node, LOCAL) {
             let flit = self.master_nis[i].tx.next_flit();
             self.push_flit(node, LOCAL, flit);
@@ -1092,8 +851,6 @@ impl XpipesNoc {
         if let Some((src_master, expects)) = self.slave_nis[i].busy {
             if expects {
                 if let Some(resp) = self.slave_nis[i].link.take_response(net, now) {
-                    // `src_master` is a global index; its NI may live
-                    // in another region.
                     let dst = self.cfg.master_nodes[src_master];
                     let len = 1 + resp.data.len() as u32;
                     self.links[src_master].busy_cycles += u64::from(len);
@@ -1135,219 +892,25 @@ impl XpipesNoc {
             }
         }
         // Inject at most one response flit per cycle.
-        let node = self.slave_nis[i].node as usize - self.node_base as usize;
+        let node = self.slave_nis[i].node as usize;
         if !self.slave_nis[i].tx.is_empty() && self.has_room(node, LOCAL) {
             let flit = self.slave_nis[i].tx.next_flit();
             self.push_flit(node, LOCAL, flit);
         }
     }
 
-    /// Phase A of a partitioned cycle: the link stage, with boundary
-    /// crossings exported into the shared handoff slots. On a whole
-    /// (unsplit) mesh this is exactly the serial link stage.
+    /// First half of a tick: the link stage. Public so a harness can
+    /// time the two halves apart.
     pub fn phase_link(&mut self, net: &mut LinkArena, now: Cycle) {
         self.link_stage(net, now);
     }
 
-    /// Phase B of a partitioned cycle: import boundary flits, then run
-    /// the switch and NI stages and publish end-of-cycle occupancy
-    /// mirrors. Running [`XpipesNoc::phase_link`] then this method on a
-    /// whole mesh is exactly one serial tick.
+    /// Second half of a tick: the switch and NI stages.
+    /// [`XpipesNoc::phase_link`] then this method is exactly one tick.
     pub fn phase_switch_ni(&mut self, net: &mut LinkArena, now: Cycle) {
-        self.import_boundary();
         self.switch_stage();
         self.ni_stage(net, now);
         self.sweep_idle();
-        self.publish_boundary_occupancy();
-    }
-
-    /// Plans a row-band partition of this mesh into at most `threads`
-    /// regions of contiguous rows (balanced by row count).
-    ///
-    /// Returns `None` when the mesh cannot be partitioned: fewer than
-    /// two usable bands, or an NI layout other than the canonical
-    /// row-major one (masters on nodes `0..n`, slaves directly after)
-    /// on which node, NI and link ranges all stay contiguous.
-    pub fn partition_plan(&self, threads: usize) -> Option<Vec<RegionSpec>> {
-        let (w, h) = (self.cfg.width as usize, self.cfg.height as usize);
-        let p = threads.min(h);
-        if p < 2 {
-            return None;
-        }
-        let (n, s) = (self.master_nis.len(), self.slave_nis.len());
-        let canonical = self
-            .cfg
-            .master_nodes
-            .iter()
-            .enumerate()
-            .all(|(i, &nd)| nd as usize == i)
-            && self
-                .cfg
-                .slave_nodes
-                .iter()
-                .enumerate()
-                .all(|(i, &nd)| nd as usize == n + i);
-        if !canonical {
-            return None;
-        }
-        let (band, extra) = (h / p, h % p);
-        let mut specs = Vec::with_capacity(p);
-        let mut row = 0usize;
-        let mut prev_link_hi: Option<u32> = None;
-        for k in 0..p {
-            let rows = band + usize::from(k < extra);
-            let (lo, hi) = (row * w, (row + rows) * w);
-            row += rows;
-            let masters = (lo.min(n), hi.min(n));
-            let slaves = (lo.max(n).min(n + s) - n, hi.max(n).min(n + s) - n);
-            // The region's arena range spans its NIs' link ids; ranges
-            // must be contiguous and ascending for `LinkArena::split_off`.
-            let mut ids: Vec<u32> = (masters.0..masters.1)
-                .map(|i| self.master_nis[i].link.id().index() as u32)
-                .chain((slaves.0..slaves.1).map(|i| self.slave_nis[i].link.id().index() as u32))
-                .collect();
-            ids.sort_unstable();
-            let links = match (ids.first(), ids.last()) {
-                (Some(&first), Some(&last)) => {
-                    if (last - first) as usize + 1 != ids.len() {
-                        return None; // NI links are not a contiguous range
-                    }
-                    (first, last + 1)
-                }
-                // A band of unattached nodes owns no links.
-                _ => {
-                    let at = prev_link_hi.unwrap_or(0);
-                    (at, at)
-                }
-            };
-            if let Some(prev) = prev_link_hi {
-                if links.0 != prev {
-                    return None; // regions' link ranges must tile the arena
-                }
-            } else if links.0 != 0 {
-                return None;
-            }
-            prev_link_hi = Some(links.1);
-            specs.push(RegionSpec {
-                nodes: (lo as u16, hi as u16),
-                masters,
-                slaves,
-                links,
-            });
-        }
-        Some(specs)
-    }
-
-    /// Splits this mesh into per-region instances per `specs`, moving
-    /// each band's routers and NIs out of `self`. The returned regions
-    /// share a fresh [`MeshBoundary`]; ticking region `k` with the
-    /// two-phase protocol advances exactly the state a serial tick would
-    /// advance for its band. Reassemble with [`XpipesNoc::absorb`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a region, on a mesh with traffic in flight,
-    /// or with specs that do not tile this mesh.
-    pub fn split(&mut self, specs: &[RegionSpec]) -> Vec<XpipesNoc> {
-        assert!(self.boundary.is_none(), "cannot split a region");
-        assert!(
-            self.packets.is_empty() && self.routers.iter().all(Router::is_empty),
-            "split requires a drained mesh"
-        );
-        assert_eq!(
-            specs.last().map(|s| usize::from(s.nodes.1)),
-            Some(self.cfg.nodes()),
-            "specs must cover the whole mesh"
-        );
-        let fabric = Arc::new(MeshBoundary::new(self.cfg.width as usize, specs.len()));
-        let mut routers = std::mem::take(&mut self.routers).into_iter();
-        let mut fifo = std::mem::take(&mut self.fifo).into_iter();
-        let mut master_nis = std::mem::take(&mut self.master_nis).into_iter();
-        let mut slave_nis = std::mem::take(&mut self.slave_nis).into_iter();
-        let total_masters = self.links.len();
-        specs
-            .iter()
-            .enumerate()
-            .map(|(k, spec)| {
-                let nodes = (spec.nodes.1 - spec.nodes.0) as usize;
-                let (n_masters, n_slaves) = (
-                    spec.masters.1 - spec.masters.0,
-                    spec.slaves.1 - spec.slaves.0,
-                );
-                XpipesNoc {
-                    name: format!("{}#r{k}", self.name),
-                    cfg: self.cfg.clone(),
-                    map: Arc::clone(&self.map),
-                    routers: routers.by_ref().take(nodes).collect(),
-                    fifo: fifo
-                        .by_ref()
-                        .take(nodes * 5 * self.cfg.input_fifo_flits)
-                        .collect(),
-                    xy: self.xy.clone(),
-                    master_nis: master_nis.by_ref().take(n_masters).collect(),
-                    slave_nis: slave_nis.by_ref().take(n_slaves).collect(),
-                    attach: self.attach.clone(),
-                    packets: PacketTable::default(),
-                    // Regions mint packet ids in disjoint tagged spaces;
-                    // ids are internal keys only, so tagging cannot leak
-                    // into any deterministic output.
-                    next_pid: (k as u32 + 1) << 28,
-                    stats: NocStats::default(),
-                    packet_latency: Histogram::new("packet_latency_cycles"),
-                    transactions: 0,
-                    decode_errors: 0,
-                    conflicts: 0,
-                    grant_wait: Histogram::new("grant_wait_cycles"),
-                    links: vec![LinkMetrics::default(); total_masters],
-                    node_base: spec.nodes.0,
-                    master_base: spec.masters.0,
-                    slave_base: spec.slaves.0,
-                    boundary: Some(RegionBoundary {
-                        fabric: Arc::clone(&fabric),
-                        region: k,
-                        regions: specs.len(),
-                    }),
-                    active: Vec::with_capacity(nodes),
-                    in_active: vec![false; nodes],
-                    event: EventState::dense(n_masters, n_slaves),
-                }
-            })
-            .collect()
-    }
-
-    /// Reassembles regions produced by [`XpipesNoc::split`] (in the same
-    /// order), summing every counter and histogram — each is additive
-    /// over the disjoint events the regions observed, so the merged
-    /// statistics are bit-identical to a serial run's.
-    pub fn absorb(&mut self, regions: Vec<XpipesNoc>) {
-        for region in regions {
-            self.routers.extend(region.routers);
-            self.fifo.extend(region.fifo);
-            self.master_nis.extend(region.master_nis);
-            self.slave_nis.extend(region.slave_nis);
-            self.packets.extend(region.packets);
-            self.stats.packets += region.stats.packets;
-            self.stats.flit_hops += region.stats.flit_hops;
-            self.packet_latency.merge(&region.packet_latency);
-            self.transactions += region.transactions;
-            self.decode_errors += region.decode_errors;
-            self.conflicts += region.conflicts;
-            self.grant_wait.merge(&region.grant_wait);
-            for (l, r) in self.links.iter_mut().zip(region.links.iter()) {
-                l.grants += r.grants;
-                l.stall_cycles += r.stall_cycles;
-                l.busy_cycles += r.busy_cycles;
-            }
-        }
-        debug_assert_eq!(self.routers.len(), self.cfg.nodes());
-        self.in_active = vec![false; self.routers.len()];
-        self.active = (0..self.routers.len())
-            .filter(|&r| !self.routers[r].is_empty())
-            .map(|r| r as u32)
-            .collect();
-        for &r in &self.active {
-            self.in_active[r as usize] = true;
-        }
     }
 }
 
@@ -1436,10 +999,6 @@ impl Interconnect for XpipesNoc {
             grant_wait: self.grant_wait.clone(),
             links: self.links.clone(),
         }
-    }
-
-    fn as_xpipes_mut(&mut self) -> Option<&mut XpipesNoc> {
-        Some(self)
     }
 
     fn set_event_driven(&mut self, on: bool) {
@@ -2103,7 +1662,7 @@ mod tests {
         ]
     }
 
-    /// Runs generated traffic to completion on a whole mesh.
+    /// Runs generated traffic to completion.
     fn run_mesh(r: &mut Rig, ops: u32, seed: u64) -> Fingerprint {
         let mut traffic = Traffic::new(r.cpus.len(), ops, seed);
         for now in 0..200_000 {
@@ -2154,52 +1713,5 @@ mod tests {
             let got = run_mesh(&mut r, 60, u64::from(w * 31 + h));
             assert_eq!(got, want, "{w}x{h} mesh, {depth}-flit FIFOs");
         }
-    }
-
-    /// A 4-band split, ticked in lockstep and absorbed with flits,
-    /// packets and owned outputs in flight, must continue exactly like
-    /// the mesh that was never split.
-    #[test]
-    fn split_and_absorb_mid_traffic_round_trips() {
-        let build = || mesh_rig(4, 4, 8, 8, 2);
-        let whole = run_mesh(&mut build(), 40, 7);
-
-        let mut r = build();
-        let mut traffic = Traffic::new(r.cpus.len(), 40, 7);
-        let specs = r.noc.partition_plan(4).expect("canonical 4x4 mesh splits");
-        assert_eq!(specs.len(), 4);
-        let mut regions = r.noc.split(&specs);
-        const ABSORB_AT: Cycle = 150;
-        for now in 0..ABSORB_AT {
-            traffic.step(&mut r, now);
-            for region in &mut regions {
-                region.phase_link(&mut r.links, now);
-            }
-            for region in &mut regions {
-                region.phase_switch_ni(&mut r.links, now);
-            }
-            for m in &mut r.mems {
-                m.tick(now, &mut r.links);
-            }
-        }
-        let in_flight: u32 = regions
-            .iter()
-            .flat_map(|region| region.routers.iter().map(|rt| rt.load))
-            .sum();
-        assert!(in_flight > 0, "absorb must happen mid-traffic");
-        r.noc.absorb(regions);
-        assert_eq!(
-            r.noc.active.len(),
-            r.noc.in_active.iter().filter(|&&a| a).count()
-        );
-        for now in ABSORB_AT..200_000 {
-            traffic.step(&mut r, now);
-            step(&mut r, now);
-            if traffic.finished() && r.noc.is_idle(&r.links) {
-                assert_eq!(fingerprint(&r, &traffic, now), whole);
-                return;
-            }
-        }
-        panic!("traffic did not drain after absorb");
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use ntg_sim::{Cycle, WakeEvents};
+use ntg_sim::Cycle;
 
 use crate::observer::ChannelObserver;
 use crate::types::{MasterId, OcpRequest, OcpResponse};
@@ -63,10 +63,6 @@ struct Link {
 #[derive(Default)]
 pub struct LinkArena {
     links: Vec<Link>,
-    /// Id of the first link stored in `links`. Always 0 for a whole
-    /// platform arena; non-zero for a partition sub-arena produced by
-    /// [`LinkArena::split_off`], whose ports keep their original ids.
-    base: u32,
     /// When set, every write that becomes visible to the *other* side of
     /// a link next cycle appends a wake token to `wakes` (see
     /// [`LinkArena::set_wake_logging`]).
@@ -101,8 +97,7 @@ impl LinkArena {
         name: impl Into<String>,
         master: MasterId,
     ) -> (MasterPort, SlavePort) {
-        let raw = self.base as usize + self.links.len();
-        let id = LinkId(u32::try_from(raw).expect("link arena overflow"));
+        let id = LinkId(u32::try_from(self.links.len()).expect("link arena overflow"));
         self.links.push(Link {
             name: name.into(),
             master,
@@ -130,51 +125,7 @@ impl LinkArena {
 
     /// The name of link `id` (a borrow from the arena's string table).
     pub fn name(&self, id: LinkId) -> &str {
-        &self.links[self.local(id)].name
-    }
-
-    /// Id of the first link this arena stores (0 for a whole-platform
-    /// arena, the range start for a partition sub-arena).
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// Splits off the tail of the arena: links with ids `>= at` move into
-    /// the returned sub-arena, which keeps serving those ids unchanged.
-    /// The partitioned mesh scheduler uses this to hand each worker
-    /// thread exclusive ownership of a contiguous `LinkId` range; a port
-    /// presented to the wrong sub-arena panics on its first access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is outside `[base, base + len]`.
-    pub fn split_off(&mut self, at: u32) -> LinkArena {
-        let local = (at as usize)
-            .checked_sub(self.base as usize)
-            .expect("split point below arena base");
-        assert!(local <= self.links.len(), "split point past arena end");
-        LinkArena {
-            links: self.links.split_off(local),
-            base: at,
-            log_wakes: self.log_wakes,
-            wakes: Vec::new(),
-            run_end: self.run_end,
-        }
-    }
-
-    /// Re-attaches a sub-arena produced by [`LinkArena::split_off`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tail` starts exactly where this arena ends.
-    pub fn append(&mut self, mut tail: LinkArena) {
-        assert_eq!(
-            tail.base as usize,
-            self.base as usize + self.links.len(),
-            "appended arena is not contiguous with this one"
-        );
-        self.links.append(&mut tail.links);
-        self.wakes.append(&mut tail.wakes);
+        &self.link(id).name
     }
 
     /// Enables (or disables) wake-touch logging.
@@ -184,9 +135,10 @@ impl LinkArena {
     /// [`MasterPort::assert_request`]/[`MasterPort::forward_request`]
     /// towards the slave side, [`SlavePort::accept_request`]/
     /// [`SlavePort::push_response`] towards the master side — logs a
-    /// token identifying the reader, drained via [`WakeEvents`]. The
-    /// sparse scheduling engines use this to pull a sleeping component
-    /// out of its wheel exactly when an inbound event becomes visible;
+    /// token identifying the reader, drained via
+    /// [`LinkArena::drain_wakes`]. `Platform::run` uses this to pull a
+    /// sleeping component out of its wheel exactly when an inbound event
+    /// becomes visible;
     /// consuming operations (`take_*`) wake nobody. Off by default and
     /// free when off (one branch per write).
     pub fn set_wake_logging(&mut self, on: bool) {
@@ -202,7 +154,6 @@ impl LinkArena {
     /// component that executes ahead of `now` (a `CpuCore` inside a
     /// compute burst) stops at the same cycle the loop does and an
     /// incomplete run reports exactly the state of that cycle.
-    /// Sub-arenas inherit the value on [`LinkArena::split_off`].
     pub fn set_run_end(&mut self, end: Cycle) {
         self.run_end = Some(end);
     }
@@ -221,32 +172,21 @@ impl LinkArena {
         }
     }
 
-    #[inline]
-    fn local(&self, id: LinkId) -> usize {
-        id.index()
-            .checked_sub(self.base as usize)
-            .expect("link id below this sub-arena's range")
+    /// Drains every wake token logged since the last drain, in the
+    /// order the touches happened (decode with [`wake_token`]).
+    /// Duplicates are possible; the scheduler dedups.
+    pub fn drain_wakes(&mut self) -> impl Iterator<Item = u32> + '_ {
+        self.wakes.drain(..)
     }
 
     #[inline]
     fn link(&self, id: LinkId) -> &Link {
-        let at = self.local(id);
-        &self.links[at]
+        &self.links[id.index()]
     }
 
     #[inline]
     fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        let at = self.local(id);
-        &mut self.links[at]
-    }
-}
-
-impl WakeEvents for LinkArena {
-    fn drain_wakes(&mut self, wake: &mut dyn FnMut(u32)) {
-        for i in 0..self.wakes.len() {
-            wake(self.wakes[i]);
-        }
-        self.wakes.clear();
+        &mut self.links[id.index()]
     }
 }
 
@@ -668,58 +608,18 @@ mod tests {
     }
 
     #[test]
-    fn split_off_sub_arena_serves_original_ids() {
+    fn run_end_is_unbounded_until_a_driver_sets_it() {
         let mut net = LinkArena::new();
-        let (m0, _s0) = net.channel("a", MasterId(0));
-        let (m1, s1) = net.channel("b", MasterId(1));
-        let (m2, _s2) = net.channel("c", MasterId(2));
         assert_eq!(net.run_end(), Cycle::MAX, "unset means unbounded");
         net.set_run_end(900);
-        let mut tail = net.split_off(1);
-        assert_eq!(net.len(), 1);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail.base(), 1);
-        assert_eq!(tail.run_end(), 900, "sub-arenas inherit the run end");
-        // Ports minted before the split keep working against the
-        // sub-arena that owns their range.
-        assert_eq!(m1.name(&tail), "b");
-        assert_eq!(m2.name(&tail), "c");
-        assert_eq!(m0.name(&net), "a");
-        m1.assert_request(&mut tail, OcpRequest::read(0x10), 3);
-        assert!(s1.peek_request(&tail, 4).is_some());
-        // New links minted on a sub-arena continue the global id space.
-        let (m3, _s3) = tail.channel("d", MasterId(3));
-        assert_eq!(m3.id().index(), 3);
-        net.append(tail);
-        assert_eq!(net.len(), 4);
-        assert!(s1.peek_request(&net, 4).is_some());
-        assert_eq!(net.name(m3.id()), "d");
-    }
-
-    #[test]
-    #[should_panic(expected = "not contiguous")]
-    fn append_rejects_non_contiguous_tail() {
-        let mut net = LinkArena::new();
-        net.channel("a", MasterId(0));
-        net.channel("b", MasterId(1));
-        let tail = {
-            let mut other = LinkArena::new();
-            other.channel("x", MasterId(0));
-            other.channel("y", MasterId(1));
-            other.split_off(1)
-        };
-        net.append(tail); // tail.base == 1 but net ends at 2
+        assert_eq!(net.run_end(), 900);
     }
 
     #[test]
     fn wake_log_records_producer_touches_only() {
         let (mut net, m, s) = channel("l", MasterId(0));
         let mut tokens = Vec::new();
-        let drain = |net: &mut LinkArena| {
-            let mut got = Vec::new();
-            net.drain_wakes(&mut |t| got.push(wake_token(t)));
-            got
-        };
+        let drain = |net: &mut LinkArena| net.drain_wakes().map(wake_token).collect::<Vec<_>>();
         // Logging off: nothing recorded.
         m.assert_request(&mut net, OcpRequest::read(0x10), 0);
         assert!(drain(&mut net).is_empty());

@@ -34,4 +34,4 @@ pub use platform::{
     InterconnectChoice, MasterCtx, MasterFactory, MasterKind, Platform, PlatformBuilder,
     PlatformError, PlatformMaster, TraceTranslationError, ALL_INTERCONNECTS,
 };
-pub use report::{MasterReport, MetricsReport, PartitionReport, RunReport};
+pub use report::{MasterReport, MetricsReport, RunReport};

@@ -14,13 +14,11 @@ use ntg_noc::{
     AmbaBus, Arbitration, CrossbarBus, IdealInterconnect, Interconnect, XpipesConfig, XpipesNoc,
 };
 use ntg_ocp::{wake_token, LinkArena, MasterId};
-use ntg_sim::{ActiveSet, Activity, ClockConfig, Component, Cycle, WakeEvents, WindowSeries};
+use ntg_sim::{ActiveSet, Activity, ClockConfig, Component, Cycle, WindowSeries};
 use ntg_trace::{shared_trace, MasterTrace, SharedTrace, TraceMonitor};
 
 use crate::mem_map;
 use crate::report::{MasterReport, MetricsReport, RunReport};
-
-mod parallel;
 
 /// Which interconnect model the platform instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -34,9 +32,8 @@ pub enum InterconnectChoice {
     Xpipes,
     /// ×pipes-like mesh NoC on an explicit `width × height` grid with
     /// the canonical row-major NI layout (masters on nodes `0..n`,
-    /// slaves directly after) — the layout the row-band partition
-    /// scheduler of [`Platform::run_with_threads`] requires, and the
-    /// variant the big-mesh sweeps (`8x8`, `16x16`, …) instantiate.
+    /// slaves directly after) — the variant the big-mesh sweeps
+    /// (`8x8`, `16x16`, …) instantiate.
     Mesh(u16, u16),
     /// STBus-like crossbar.
     Crossbar,
@@ -107,7 +104,7 @@ pub const ALL_INTERCONNECTS: [InterconnectChoice; 5] = [
 /// `halted` becomes true once all work is done (and stays true),
 /// `halt_cycle` records the completing cycle, and any
 /// `next_activity`/`skip` implementation must keep cycle counts
-/// bit-identical with skipping on or off. The `Send` supertrait keeps
+/// bit-identical to being ticked every cycle. The `Send` supertrait keeps
 /// the assembled [`Platform`] a plain `Send` value, which is what lets
 /// campaign workers own platforms on worker threads.
 pub trait PlatformMaster: Component<LinkArena> + Send {
@@ -514,11 +511,8 @@ impl PlatformBuilder {
         )?);
 
         // Master links are minted first (ids `0..n`), slave links after
-        // (ids `n..n+s`): under the canonical mesh layout of
-        // [`InterconnectChoice::Mesh`] every link id then equals its
-        // NI's mesh node, so a row band of nodes owns one contiguous
-        // link-id range — the property `LinkArena::split_off` turns
-        // into per-partition sub-arenas.
+        // (ids `n..n+s`), so a component's scheduler id equals its link
+        // id — the identity `run`'s wake-token routing relies on.
         let mut master_ports = Vec::with_capacity(n);
         let mut net_master_ports = Vec::new();
         let mut traces = Vec::new();
@@ -675,8 +669,6 @@ impl PlatformBuilder {
             slaves,
             traces,
             now: 0,
-            skipping: ntg_sim::cycle_skipping_enabled(),
-            active_sched: ntg_sim::active_scheduling_enabled(),
             skipped_cycles: 0,
             ticked_cycles: 0,
             visited_component_cycles: 0,
@@ -713,8 +705,6 @@ pub struct Platform {
     slaves: Vec<Slave>,
     traces: Vec<Option<SharedTrace>>,
     now: Cycle,
-    skipping: bool,
-    active_sched: bool,
     skipped_cycles: Cycle,
     ticked_cycles: Cycle,
     visited_component_cycles: u64,
@@ -737,33 +727,13 @@ impl Platform {
         self.masters.len()
     }
 
-    /// Enables or disables event-horizon cycle skipping for this
-    /// platform, overriding the `NTG_NO_SKIP` environment default.
-    ///
-    /// Skipping is a pure wall-time optimisation: reported cycle counts,
-    /// statistics and traces are bit-identical either way (the
-    /// equivalence tests in `ntg-bench` pin this down).
-    pub fn set_cycle_skipping(&mut self, on: bool) {
-        self.skipping = on;
-    }
-
-    /// Enables or disables O(active)-component scheduling for this
-    /// platform, overriding the `NTG_NO_ACTIVE_SCHED` environment
-    /// default. Only effective while cycle skipping is on (the sparse
-    /// loop is built on the same `skip` catch-up contract); like
-    /// skipping itself it is a pure wall-time optimisation — reported
-    /// cycles, statistics and traces are bit-identical either way.
-    pub fn set_active_scheduling(&mut self, on: bool) {
-        self.active_sched = on;
-    }
-
     /// Enables metrics collection for this platform's subsequent runs.
     ///
     /// Opt-in and allocation-bounded: the recorder is allocated here,
     /// once; per-cycle sampling only updates counters, and the run
     /// report gains a [`MetricsReport`] (fabric utilization windows,
     /// arbitration contention, semaphore counters). With metrics off
-    /// the loops pay a single `Option` branch per visited cycle.
+    /// `run` and `step` pay a single `Option` branch per visited cycle.
     pub fn enable_metrics(&mut self) {
         // 1024-cycle windows, 64-slot buffer: ~65k cycles before the
         // first in-place merge, bounded memory forever after.
@@ -774,8 +744,8 @@ impl Platform {
     }
 
     /// Samples per-cycle-window metrics; called once per visited cycle
-    /// (and once per horizon jump, attributing the stretch to its first
-    /// cycle). One branch when metrics are off; alloc-free when on.
+    /// (and once per jump, attributing the stretch to its first cycle).
+    /// One branch when metrics are off; alloc-free when on.
     #[inline]
     fn sample_metrics(&mut self, now: Cycle) {
         if let Some(rec) = &mut self.metrics {
@@ -794,6 +764,11 @@ impl Platform {
             Slave::Sem(s) => (s.acquisitions(), s.failed_polls(), s.releases()),
             Slave::Mem(_) => (0, 0, 0),
         };
+        // Close the windows up to the current cycle on a copy, so the
+        // window structure depends only on where the platform stands,
+        // not on which cycle was last visited.
+        let mut busy = rec.busy.clone();
+        busy.record(self.now, 0);
         Some(MetricsReport {
             fabric_utilization_cycles: self.interconnect.utilization_cycles(),
             conflicts: contention.conflicts,
@@ -804,8 +779,8 @@ impl Platform {
             sem_acquisitions,
             sem_failed_polls,
             sem_releases,
-            busy_window_cycles: rec.busy.window_cycles(),
-            busy_windows: rec.busy.collect(),
+            busy_window_cycles: busy.window_cycles(),
+            busy_windows: busy.collect(),
         })
     }
 
@@ -816,135 +791,37 @@ impl Platform {
             && self.slaves.iter().all(|s| s.is_idle(&self.net))
     }
 
-    /// The earliest cycle at which any component may act, capped at
-    /// `end`, or `None` when some component is busy (or skipping is off)
-    /// and the platform must tick cycle by cycle.
-    fn horizon(&self, end: Cycle) -> Option<Cycle> {
-        if !self.skipping {
-            return None;
-        }
-        let now = self.now;
-        let mut h = end;
-        // Masters first: they are the only spontaneous actors, so a busy
-        // master is the common reason not to jump — bail out early.
-        for m in &self.masters {
-            match m.as_component_ref().next_activity(now, &self.net) {
-                Activity::Busy => return None,
-                Activity::IdleUntil(w) => h = h.min(w),
-                Activity::Drained => {}
-            }
-        }
-        match self.interconnect.next_activity(now, &self.net) {
-            Activity::Busy => return None,
-            Activity::IdleUntil(w) => h = h.min(w),
-            Activity::Drained => {}
-        }
-        for s in &self.slaves {
-            match s.as_component_ref().next_activity(now, &self.net) {
-                Activity::Busy => return None,
-                Activity::IdleUntil(w) => h = h.min(w),
-                Activity::Drained => {}
-            }
-        }
-        (h > now).then_some(h)
-    }
-
-    /// Runs until every master has halted and all traffic has drained,
-    /// or `max_cycles` is reached.
-    ///
-    /// The termination predicate is evaluated exactly, every iteration —
-    /// the reported cycle count is the first quiescent cycle. Idle
-    /// stretches where no component has work before a known wake cycle
-    /// are fast-forwarded in one jump (event-horizon cycle skipping;
-    /// disable with `NTG_NO_SKIP=1` or
-    /// [`set_cycle_skipping`](Self::set_cycle_skipping)); skipping never
-    /// changes reported cycles, statistics or traces, only wall time.
-    pub fn run(&mut self, max_cycles: Cycle) -> RunReport {
-        // Cores executing ahead of `now` must stop where this run does.
-        self.net.set_run_end(max_cycles);
-        if self.skipping && self.active_sched {
-            return self.run_sparse(max_cycles);
-        }
-        // Ceiling for the exponential horizon-poll backoff. While the
-        // platform stays busy each poll fails after touching every
-        // component; backing off caps that overhead at ~1/64th of a tick
-        // without affecting results — ticking through a skippable cycle
-        // is bit-identical to jumping it, we only defer the jump.
-        const MAX_POLL_BACKOFF: Cycle = 64;
-        let start = Instant::now();
-        let mut completed = false;
-        let mut poll_at = self.now;
-        let mut backoff: Cycle = 1;
-        while self.now < max_cycles {
-            if self.quiesced() {
-                completed = true;
-                break;
-            }
-            if self.now >= poll_at {
-                if let Some(next) = self.horizon(max_cycles) {
-                    let now = self.now;
-                    for m in &mut self.masters {
-                        m.as_component().skip(now, next, &mut self.net);
-                    }
-                    self.interconnect.skip(now, next, &mut self.net);
-                    for s in &mut self.slaves {
-                        s.as_component().skip(now, next, &mut self.net);
-                    }
-                    self.skipped_cycles += next - now;
-                    self.sample_metrics(now);
-                    self.now = next;
-                    backoff = 1;
-                    poll_at = self.now;
-                    continue;
-                }
-                backoff = (backoff * 2).min(MAX_POLL_BACKOFF);
-                poll_at = self.now + backoff;
-            }
-            let now = self.now;
-            for m in &mut self.masters {
-                m.tick(now, &mut self.net);
-            }
-            self.interconnect.tick(now, &mut self.net);
-            for s in &mut self.slaves {
-                s.tick(now, &mut self.net);
-            }
-            self.sample_metrics(now);
-            self.visited_component_cycles += self.components() as u64;
-            self.ticked_cycles += 1;
-            self.now += 1;
-        }
-        if !completed && self.quiesced() {
-            completed = true;
-        }
-        // Close the metrics windows up to the finish cycle: every engine
-        // records a final (possibly zero) sample at `self.now`, so the
-        // window structure depends only on where the run ended, not on
-        // where each engine's last jump happened to start.
-        self.sample_metrics(self.now);
-        self.build_report(completed, start.elapsed(), None)
-    }
-
     /// Total components in the platform (masters + fabric + slaves) —
     /// the per-cycle denominator of the sparse-visit ratio.
     fn components(&self) -> usize {
         self.masters.len() + 1 + self.slaves.len()
     }
 
-    /// The sparse O(active) variant of [`run`](Self::run): per-component
-    /// wake tracking replaces the all-components horizon scan.
+    /// Runs until every master has halted and all traffic has drained,
+    /// or the platform reaches cycle `max_cycles`.
     ///
-    /// Masters and slaves live in an [`ActiveSet`] keyed by their
-    /// `next_activity` hints; a ticked cycle visits only the components
-    /// whose wake arrived (plus `Busy` ones), and a sleeper is caught up
-    /// through its `skip` contract when next visited. The interconnect
-    /// is *not* scheduled — it ticks on every visited cycle and its hint
-    /// is consulted only when everything else sleeps, which keeps this
-    /// loop's skipped/ticked split identical to the partitioned
-    /// engine's (whose regions cannot observe remote fabric state).
-    /// Results are bit-identical to the dense loop; only the work per
-    /// ticked cycle changes.
-    fn run_sparse(&mut self, max_cycles: Cycle) -> RunReport {
+    /// `max_cycles` is an *absolute* cycle, not a budget: `run(k)`
+    /// followed by `run(max)` ends exactly like one `run(max)`, and
+    /// `run(k)` on a platform already at or past cycle `k` does nothing.
+    /// (`ntg_sim::Simulator::run_until` takes a *relative* count.)
+    ///
+    /// This is the platform's one engine. Masters and slaves live in an
+    /// [`ActiveSet`] keyed by their `next_activity` hints; a ticked cycle
+    /// visits only the components whose wake arrived (plus `Busy` ones),
+    /// and a sleeper is caught up through its `skip` contract when next
+    /// visited. The interconnect is *not* scheduled — it ticks on every
+    /// visited cycle (event-driven inside, see
+    /// [`Interconnect::set_event_driven`]) and its hint is consulted only
+    /// when everything else sleeps, when the whole platform jumps to the
+    /// next wake in one step. The termination predicate is evaluated
+    /// exactly, so the reported cycle count is the first quiescent
+    /// cycle. Every reported number is bit-identical to ticking every
+    /// component on every cycle — [`step`](Self::step) is that
+    /// reference, and the equivalence suites diff the two.
+    pub fn run(&mut self, max_cycles: Cycle) -> RunReport {
         let start = Instant::now();
+        // Cores executing ahead of `now` must stop where this run does.
+        self.net.set_run_end(max_cycles);
         let n_m = self.masters.len();
         let start_now = self.now;
         let mut sched = ActiveSet::new(n_m + self.slaves.len());
@@ -969,22 +846,18 @@ impl Platform {
         self.net.set_wake_logging(true);
         self.interconnect.set_event_driven(true);
         let ticked_before = self.ticked_cycles;
-        let mut tokens: Vec<u32> = Vec::new();
         let mut visit_buf: Vec<u32> = Vec::with_capacity(sched.components());
-        let mut completed = false;
         while self.now < max_cycles {
             if live_masters == 0 && self.quiesced() {
-                completed = true;
                 break;
             }
             let now = self.now;
             if sched.idle() {
                 // Everything with timed work sleeps in the wheel, so
                 // the fabric is the only possible actor: one hint check
-                // replaces the dense engine's full-platform horizon
-                // fold. Sleepers catch up lazily when next visited;
-                // only the fabric is fast-forwarded eagerly, exactly
-                // like the partitioned engine's skip rounds.
+                // decides whether the platform can jump. Sleepers catch
+                // up lazily when next visited; only the fabric is
+                // fast-forwarded eagerly.
                 let mut target = sched.next_wake().unwrap_or(max_cycles).min(max_cycles);
                 match self.interconnect.next_activity(now, &self.net) {
                     Activity::Busy => target = now,
@@ -1045,8 +918,7 @@ impl Platform {
             // link ids by construction (master `m` owns link `m`, slave
             // `s` owns link `n_m + s`), so a component-side wake is
             // just the link index.
-            self.net.drain_wakes(&mut |t| tokens.push(t));
-            for &t in &tokens {
+            for t in self.net.drain_wakes() {
                 let (link, master_side) = wake_token(t);
                 let l = link.index();
                 let to_fabric = if l < n_m { !master_side } else { master_side };
@@ -1056,17 +928,13 @@ impl Platform {
                     sched.wake(l as u32, next);
                 }
             }
-            tokens.clear();
             sched.end_cycle(now);
             self.sample_metrics(now);
             self.ticked_cycles += 1;
             self.now = next;
         }
-        if !completed && self.quiesced() {
-            completed = true;
-        }
         // Settle every sleeper's bookkeeping up to the finish cycle so
-        // reports and traces observe exactly the dense engine's state.
+        // reports and traces observe exactly the state `step` leaves.
         let final_now = self.now;
         sched.drain_catch_ups(final_now, |id, since| {
             let i = id as usize;
@@ -1086,26 +954,24 @@ impl Platform {
         // scheduler's master/slave visits.
         self.visited_component_cycles +=
             sched.visited_component_cycles() + (self.ticked_cycles - ticked_before);
-        self.sample_metrics(self.now);
-        self.build_report(completed, start.elapsed(), None)
+        RunReport {
+            wall_time: start.elapsed(),
+            ..self.report()
+        }
     }
 
-    /// Assembles the [`RunReport`] of a finished run — shared by the
-    /// serial loop above and the partitioned scheduler
-    /// ([`run_with_threads`](Self::run_with_threads)), which must
-    /// produce byte-identical reports apart from the diagnostic
-    /// `wall_time`/`partition` fields.
-    fn build_report(
-        &self,
-        completed: bool,
-        wall_time: std::time::Duration,
-        partition: Option<crate::report::PartitionReport>,
-    ) -> RunReport {
+    /// The [`RunReport`] of the platform as it stands: what [`run`]
+    /// returns (with a zero `wall_time`), and the way to read results
+    /// after driving the platform with [`step`]. Read-only.
+    ///
+    /// [`run`]: Self::run
+    /// [`step`]: Self::step
+    pub fn report(&self) -> RunReport {
         RunReport {
-            completed,
+            completed: self.quiesced(),
             cycles: self.now,
             finish_cycles: self.masters.iter().map(Master::halt_cycle).collect(),
-            wall_time,
+            wall_time: std::time::Duration::ZERO,
             masters: self.masters.iter().map(Master::report).collect(),
             faults: self.masters.iter().filter_map(Master::fault).collect(),
             transactions: self.interconnect.transactions(),
@@ -1116,19 +982,19 @@ impl Platform {
             visited_component_cycles: self.visited_component_cycles,
             total_component_cycles: self.components() as u64 * self.now,
             metrics: self.metrics_report(),
-            partition,
         }
     }
 
-    /// Ticks every component for exactly `cycles` cycles, without cycle
-    /// skipping and without building a [`RunReport`].
+    /// Ticks every component on every cycle for `cycles` cycles (or
+    /// until quiescent): no skipping, no scheduling, no report.
     ///
-    /// This is the measurement primitive for allocation accounting: a
-    /// caller can warm a platform up, snapshot an allocation counter,
-    /// `step` further, and attribute every allocation in between to the
-    /// ticked hot path — `run`'s report construction would otherwise
-    /// pollute the count. Ticking is bit-identical to what `run` does
-    /// when no skip fires, so interleaving `step` and `run` is safe.
+    /// This is the dense reference [`run`](Self::run) must match bit
+    /// for bit — test code drives it (one cycle per call, so cores never
+    /// run ahead) and diffs [`report`](Self::report) against `run`'s —
+    /// and the measurement primitive for allocation accounting: warm a
+    /// platform up, snapshot an allocation counter, `step` further, and
+    /// every allocation in between belongs to the ticked hot path.
+    /// Interleaving `step` and `run` is safe.
     pub fn step(&mut self, cycles: Cycle) {
         self.net.set_run_end(self.now + cycles);
         for _ in 0..cycles {

@@ -44,8 +44,7 @@ pub enum MasterReport {
 ///
 /// Everything here is *diagnostic*, not canonical: like wall time and
 /// the skip split, it is excluded from byte-reproducible campaign
-/// output and may legitimately differ between cycle-skipping on/off
-/// (windowed samples attribute a skipped stretch to its first cycle).
+/// output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     /// Cycles the fabric spent occupied carrying traffic (the
@@ -75,32 +74,9 @@ pub struct MetricsReport {
     pub busy_windows: Vec<u64>,
 }
 
-/// Diagnostics of a partitioned run
-/// ([`Platform::run_with_threads`](crate::Platform::run_with_threads)
-/// with an actual mesh split).
-///
-/// Everything here is host-timing territory — barrier stalls depend on
-/// OS scheduling and are never deterministic. Like `wall_time`, these
-/// numbers are excluded from byte-reproducible campaign output; the
-/// benchmark harness reports them as a partition-imbalance signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionReport {
-    /// How many row-band partitions (= worker threads) the run used.
-    pub partitions: usize,
-    /// Completed barrier crossings (three per lockstep round).
-    pub barrier_crossings: u64,
-    /// Total spin iterations burned waiting at barriers, summed over
-    /// all workers — the partition-imbalance signal.
-    pub barrier_stalls: u64,
-    /// Whether the barrier ran in immediate-yield mode because the run
-    /// asked for more worker threads than the host has logical CPUs
-    /// (see [`ntg_sim::SpinBarrier::immediate_yield`]). Throughput
-    /// numbers from an oversubscribed run measure the OS scheduler as
-    /// much as the simulator.
-    pub oversubscribed: bool,
-}
-
-/// The outcome of [`Platform::run`](crate::Platform::run).
+/// The outcome of [`Platform::run`](crate::Platform::run), also
+/// readable at any time through
+/// [`Platform::report`](crate::Platform::report).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Whether every master halted (and all traffic drained) before the
@@ -130,15 +106,15 @@ pub struct RunReport {
     /// [`Platform::explore`](crate::Platform::explore) and by the
     /// `ntg-explore` campaign engine's TG artifact cache.
     pub tg_reused: Option<bool>,
-    /// Cycles fast-forwarded by event-horizon skipping (zero when
-    /// skipping is disabled). `skipped_cycles + ticked_cycles == cycles`.
+    /// Cycles `run` jumped over instead of ticking (`step` never
+    /// jumps). `skipped_cycles + ticked_cycles == cycles`.
     pub skipped_cycles: Cycle,
     /// Cycles simulated tick by tick.
     pub ticked_cycles: Cycle,
-    /// Component-cycles actually visited: per ticked cycle, the dense
-    /// engines count every component while the O(active) scheduler
-    /// counts only the components it woke (plus the fabric). Diagnostic
-    /// like the skip split — the sparse-visit numerator.
+    /// Component-cycles actually visited: per ticked cycle, `step`
+    /// counts every component while `run`'s O(active) scheduler counts
+    /// only the components it woke (plus the fabric). Diagnostic like
+    /// the skip split — the sparse-visit numerator.
     pub visited_component_cycles: u64,
     /// `components × cycles` — the work a scan-everything engine would
     /// have done; denominator of the sparse-visit ratio.
@@ -147,12 +123,6 @@ pub struct RunReport {
     /// [`Platform::enable_metrics`](crate::Platform::enable_metrics)
     /// was called before the run.
     pub metrics: Option<MetricsReport>,
-    /// Partitioned-run diagnostics, present only when
-    /// [`Platform::run_with_threads`](crate::Platform::run_with_threads)
-    /// actually split the mesh (serial runs and fallbacks report
-    /// `None`). Diagnostic like `wall_time` — never part of canonical
-    /// campaign output.
-    pub partition: Option<PartitionReport>,
 }
 
 impl RunReport {
@@ -241,7 +211,6 @@ mod tests {
             visited_component_cycles: 0,
             total_component_cycles: 0,
             metrics: None,
-            partition: None,
         };
         assert_eq!(r.execution_time(), Some(110));
     }
@@ -263,7 +232,6 @@ mod tests {
             visited_component_cycles: 0,
             total_component_cycles: 0,
             metrics: None,
-            partition: None,
         };
         assert_eq!(r.execution_time(), None);
     }
@@ -285,7 +253,6 @@ mod tests {
             visited_component_cycles: 0,
             total_component_cycles: 0,
             metrics: None,
-            partition: None,
         };
         assert!((r.cycles_per_second() - 10_000.0).abs() < 1.0);
     }

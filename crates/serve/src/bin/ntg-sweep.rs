@@ -83,9 +83,6 @@ OPTIONS:
     --max-cycles N       simulated-cycle bound per run (default 2000000000)
     --repeats N          timing repeats per job (default 1)
     --threads N          worker threads; 0 = one per hardware thread (default 1)
-    --sim-threads N      partition each mesh simulation across N threads
-                         (row bands in cycle lockstep; results stay
-                         bit-identical, default 1)
     --out PATH           result file (default <name>.jsonl)
     --resume             keep matching results from an earlier partial run
     --shard I/N          run only shard I of N (jobs are dealt round-robin by
@@ -151,7 +148,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         quiet: false,
         store: None,
         shard: None,
-        sim_threads: 1,
         remote: None,
     };
     let mut store_flag: Option<PathBuf> = None;
@@ -171,11 +167,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
                 opts.threads = take(&mut it, "--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--sim-threads" => {
-                opts.sim_threads = take(&mut it, "--sim-threads")?
-                    .parse()
-                    .map_err(|e| format!("--sim-threads: {e}"))?;
             }
             "--out" => out = Some(PathBuf::from(take(&mut it, "--out")?)),
             "--resume" => opts.resume = true,

@@ -409,7 +409,6 @@ impl JobServer {
                         quiet: true,
                         store: Some(store_base.clone()),
                         shard: Some(shard),
-                        sim_threads: 1,
                         remote: self.config.remote.clone(),
                     };
                     match run_campaign(&job.spec, &opts) {

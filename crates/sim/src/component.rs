@@ -128,7 +128,7 @@ pub trait Component<C = ()> {
     /// `[now, next)` when a horizon jump is taken. An implementation
     /// must update its state and statistics exactly as `next - now`
     /// consecutive idle ticks would have, so cycle counts stay
-    /// bit-identical with skipping on or off. The default is a no-op,
+    /// bit-identical to ticking every cycle. The default is a no-op,
     /// which is correct for components whose idle ticks have no side
     /// effects.
     fn skip(&mut self, _now: Cycle, _next: Cycle, _net: &mut C) {}

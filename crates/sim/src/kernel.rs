@@ -1,6 +1,5 @@
 //! The generic cycle-driven simulation engine.
 
-use crate::observe::Observer;
 use crate::{Activity, Component, Cycle};
 
 /// Why a [`Simulator`] run loop returned.
@@ -21,9 +20,9 @@ pub enum RunOutcome {
 /// communicate through (the OCP link arena for `ntg` systems; `()` for
 /// pure components), and ticks each component once per cycle in
 /// registration order, lending the context to every callback.
-/// Platform-level harnesses that know their components' concrete types
-/// (such as `ntg-platform`) may instead run their own tick loop; this
-/// engine is the general-purpose entry point for user-assembled systems.
+/// `ntg-platform` knows its components' concrete types and runs its own
+/// O(active) loop (`Platform::run`); this engine is the small
+/// general-purpose entry point for user-assembled systems.
 ///
 /// # Example
 ///
@@ -48,14 +47,8 @@ pub struct Simulator<C = ()> {
     components: Vec<Box<dyn Component<C>>>,
     ctx: C,
     now: Cycle,
-    skipping: bool,
     skipped_cycles: Cycle,
     ticked_cycles: Cycle,
-    visited_component_cycles: u64,
-    /// Wake-token → component-index routing table for
-    /// [`Simulator::run_active_until`]; `u32::MAX` marks unrouted tokens.
-    watches: Vec<u32>,
-    observer: Option<Box<dyn Observer>>,
 }
 
 impl<C: Default> Default for Simulator<C> {
@@ -66,11 +59,6 @@ impl<C: Default> Default for Simulator<C> {
 
 impl<C: Default> Simulator<C> {
     /// Creates an empty simulator at cycle zero with a default context.
-    ///
-    /// Event-horizon cycle skipping is enabled unless the `NTG_NO_SKIP`
-    /// environment variable disables it (see
-    /// [`cycle_skipping_enabled`](crate::cycle_skipping_enabled)); use
-    /// [`Simulator::set_cycle_skipping`] to override programmatically.
     pub fn new() -> Self {
         Self::default()
     }
@@ -84,12 +72,8 @@ impl<C> Simulator<C> {
             components: Vec::new(),
             ctx,
             now: 0,
-            skipping: crate::cycle_skipping_enabled(),
             skipped_cycles: 0,
             ticked_cycles: 0,
-            visited_component_cycles: 0,
-            watches: Vec::new(),
-            observer: None,
         }
     }
 
@@ -109,33 +93,6 @@ impl<C> Simulator<C> {
         self.ctx
     }
 
-    /// Enables or disables event-horizon cycle skipping for this engine,
-    /// overriding the `NTG_NO_SKIP` environment default.
-    ///
-    /// Skipping never changes simulation results — components' wake hints
-    /// promise the jumped ticks were pure bookkeeping, replicated exactly
-    /// by [`Component::skip`] — it only changes how many host instructions
-    /// a quiescent stretch costs.
-    pub fn set_cycle_skipping(&mut self, on: bool) {
-        self.skipping = on;
-    }
-
-    /// Installs (or, with `None`, removes) an [`Observer`] that is told
-    /// about every executed cycle and every horizon jump.
-    ///
-    /// Without an observer the run loops pay a single branch per visited
-    /// cycle; observation is strictly opt-in and never changes
-    /// simulation results.
-    pub fn set_observer(&mut self, observer: Option<Box<dyn Observer>>) {
-        self.observer = observer;
-    }
-
-    /// Removes and returns the installed observer, if any — the way to
-    /// read back metrics it accumulated.
-    pub fn take_observer(&mut self) -> Option<Box<dyn Observer>> {
-        self.observer.take()
-    }
-
     /// Cycles fast-forwarded by horizon jumps instead of being ticked.
     pub fn skipped_cycles(&self) -> Cycle {
         self.skipped_cycles
@@ -144,31 +101,6 @@ impl<C> Simulator<C> {
     /// Cycles executed tick by tick.
     pub fn ticked_cycles(&self) -> Cycle {
         self.ticked_cycles
-    }
-
-    /// Component-cycles actually executed: the dense loops count every
-    /// component per ticked cycle, [`Simulator::run_active_until`]
-    /// counts only the components it woke. The sparse-visit numerator
-    /// (divide by `len() × now()` for the visit ratio).
-    pub fn visited_component_cycles(&self) -> u64 {
-        self.visited_component_cycles
-    }
-
-    /// Routes wake token `token` to the component at `idx`: whenever the
-    /// context logs the token during a cycle of an active-scheduled run
-    /// (see [`Simulator::run_active_until`]), that component is
-    /// scheduled for the following cycle. Tokens without a watch are
-    /// discarded; watching the same token again re-routes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not a registered component index.
-    pub fn watch(&mut self, token: u32, idx: usize) {
-        assert!(idx < self.components.len(), "watch on unknown component");
-        if token as usize >= self.watches.len() {
-            self.watches.resize(token as usize + 1, u32::MAX);
-        }
-        self.watches[token as usize] = idx as u32;
     }
 
     /// Registers a component. Components are ticked in registration order.
@@ -213,10 +145,6 @@ impl<C> Simulator<C> {
         }
         self.now += 1;
         self.ticked_cycles += 1;
-        self.visited_component_cycles += self.components.len() as u64;
-        if let Some(obs) = &mut self.observer {
-            obs.on_tick(now);
-        }
     }
 
     /// Executes exactly `cycles` cycles.
@@ -227,7 +155,8 @@ impl<C> Simulator<C> {
     }
 
     /// Runs until every component reports idle, or until `max_cycles`
-    /// further cycles have executed.
+    /// *further* cycles have executed (a relative budget, see
+    /// [`Simulator::run_until`]).
     ///
     /// Idleness is checked *between* cycles, so at least the in-flight
     /// cycle always completes.
@@ -239,6 +168,11 @@ impl<C> Simulator<C> {
     /// component is idle, or `max_cycles` further cycles have executed —
     /// whichever comes first.
     ///
+    /// `max_cycles` is *relative*: the run ends at `now() + max_cycles`,
+    /// so calling it twice advances up to twice as far. (`ntg-platform`'s
+    /// `Platform::run` takes an *absolute* cycle instead — its argument
+    /// is the cycle the platform stops at.)
+    ///
     /// # Cycle skipping
     ///
     /// When every component reports a non-[`Busy`](Activity::Busy) wake
@@ -246,9 +180,9 @@ impl<C> Simulator<C> {
     /// straight to the earliest wake cycle — the *event horizon* — after
     /// giving every component a [`Component::skip`] callback. Because
     /// hints promise the jumped ticks were pure bookkeeping, outcomes and
-    /// cycle counts are bit-identical with skipping on or off. The one
-    /// caveat: `stop` is evaluated only at cycles the engine actually
-    /// visits (jump targets included). Predicates over component state are
+    /// cycle counts are bit-identical to a [`Simulator::run_for`] over
+    /// the same span. The one caveat: `stop` is evaluated only at cycles
+    /// the engine actually visits (jump targets included). Predicates over component state are
     /// unaffected — jumps never cross a cycle where observable state
     /// changes — but a predicate over raw `now()` arithmetic may first
     /// hold mid-jump and only be seen at the following visited cycle.
@@ -273,9 +207,6 @@ impl<C> Simulator<C> {
                     }
                     self.skipped_cycles += next - now;
                     self.now = next;
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_skip(now, next);
-                    }
                 }
                 None => self.step(),
             }
@@ -290,12 +221,9 @@ impl<C> Simulator<C> {
     }
 
     /// The earliest cycle any component needs a real tick, clamped to
-    /// `end`, or `None` if some component is busy (or skipping is off) and
-    /// the engine must execute the coming cycle normally.
+    /// `end`, or `None` if some component is busy and the engine must
+    /// execute the coming cycle normally.
     fn horizon(&self, end: Cycle) -> Option<Cycle> {
-        if !self.skipping {
-            return None;
-        }
         let mut h = end;
         for c in &self.components {
             match c.next_activity(self.now, &self.ctx) {
@@ -309,160 +237,6 @@ impl<C> Simulator<C> {
 
     fn all_idle(&self) -> bool {
         !self.components.is_empty() && self.components.iter().all(|c| c.is_idle(&self.ctx))
-    }
-}
-
-impl<C: crate::WakeEvents> Simulator<C> {
-    /// [`Simulator::run_active_until`] with no predicate.
-    pub fn run_active_until_idle(&mut self, max_cycles: Cycle) -> RunOutcome {
-        self.run_active_until(max_cycles, |_| false)
-    }
-
-    /// Like [`Simulator::run_until`], but scheduled O(active): instead
-    /// of ticking every component each visited cycle, an [`ActiveSet`]
-    /// wake wheel tracks each component's own hint and only woken
-    /// components run; everything a component slept through is settled
-    /// by one [`Component::skip`] catch-up right before its next tick.
-    /// Results are bit-identical to the dense loops for components that
-    /// honour the hint contract.
-    ///
-    /// Two extra obligations beyond [`Simulator::run_until`]'s:
-    ///
-    /// - cross-component touches must be observable: the shared context
-    ///   logs a wake token per touch ([`WakeEvents`]) and every token
-    ///   whose addressee is a registered component has a
-    ///   [`Simulator::watch`] route. A touch wakes its addressee for
-    ///   the following cycle (the engine's write-visibility delay).
-    /// - `is_idle` must imply a parked hint ([`Activity::Drained`] or a
-    ///   passive wait), so quiescence is decidable from scheduler state
-    ///   alone.
-    ///
-    /// The `stop` predicate runs at visited cycles only (a superset may
-    /// be visited compared to the dense engine) and observes lazily
-    /// settled state: a sleeping component's fields lag until its next
-    /// catch-up, so predicates should depend on `now()` or on awake
-    /// components' state.
-    ///
-    /// [`ActiveSet`]: crate::ActiveSet
-    /// [`WakeEvents`]: crate::WakeEvents
-    pub fn run_active_until(
-        &mut self,
-        max_cycles: Cycle,
-        mut stop: impl FnMut(&Simulator<C>) -> bool,
-    ) -> RunOutcome {
-        if !self.skipping {
-            // Sparse scheduling rides on the skip contract; without it
-            // the dense loop is the only exact engine.
-            return self.run_until(max_cycles, stop);
-        }
-        let end = self.now.saturating_add(max_cycles);
-        let n = self.components.len();
-        let mut sched = crate::ActiveSet::new(n);
-        for i in 0..n {
-            let hint = self.components[i].next_activity(self.now, &self.ctx);
-            sched.seed(i as u32, hint, self.now);
-        }
-        let visited_before = sched.visited_component_cycles();
-        let mut visit_buf: Vec<u32> = Vec::with_capacity(n);
-        let outcome = loop {
-            if self.now >= end {
-                break if stop(self) {
-                    RunOutcome::Predicate
-                } else if self.all_idle() {
-                    RunOutcome::Idle
-                } else {
-                    RunOutcome::CycleLimit
-                };
-            }
-            if stop(self) {
-                break RunOutcome::Predicate;
-            }
-            if sched.idle() {
-                // Everything sleeps: jump to the earliest wheel wake.
-                // With no wake pending nothing will ever run again
-                // without external input, so settle and classify —
-                // mirroring the dense engine, which would see all-idle
-                // (or a horizon at `end`) at this same cycle.
-                let Some(wake) = sched.next_wake() else {
-                    let now = self.now;
-                    let components = &mut self.components;
-                    let ctx = &mut self.ctx;
-                    sched.drain_catch_ups(now, |id, since| {
-                        components[id as usize].skip(since, now, ctx);
-                    });
-                    if self.all_idle() {
-                        break RunOutcome::Idle;
-                    }
-                    // Passive waiters only: fast-forward to the limit.
-                    for c in &mut self.components {
-                        c.skip(now, end, &mut self.ctx);
-                    }
-                    // The spans are settled; nothing for the final
-                    // catch-up drain to replay.
-                    sched.drain_catch_ups(end, |_, _| {});
-                    self.skipped_cycles += end - now;
-                    self.now = end;
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_skip(now, end);
-                    }
-                    continue;
-                };
-                let target = wake.min(end);
-                if target > self.now {
-                    let now = self.now;
-                    self.skipped_cycles += target - now;
-                    self.now = target;
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_skip(now, target);
-                    }
-                }
-                sched.advance(self.now);
-                continue;
-            }
-            // Visit cycle: catch up and tick exactly the woken set, in
-            // index (= registration) order like the dense loop.
-            let now = self.now;
-            visit_buf.clear();
-            visit_buf.extend_from_slice(sched.visit(now));
-            for &id in &visit_buf {
-                let i = id as usize;
-                if let Some(since) = sched.take_catch_up(id, now) {
-                    self.components[i].skip(since, now, &mut self.ctx);
-                }
-                self.components[i].tick(now, &mut self.ctx);
-            }
-            let next = now + 1;
-            for &id in &visit_buf {
-                let hint = self.components[id as usize].next_activity(now, &self.ctx);
-                sched.reinsert(id, hint, next);
-            }
-            // Route this cycle's cross-component touches; they become
-            // visible (and the addressee runnable) next cycle.
-            let (ctx, watches) = (&mut self.ctx, &self.watches);
-            ctx.drain_wakes(&mut |token| {
-                if let Some(&idx) = watches.get(token as usize) {
-                    if idx != u32::MAX {
-                        sched.wake(idx, next);
-                    }
-                }
-            });
-            sched.end_cycle(now);
-            self.now = next;
-            self.ticked_cycles += 1;
-            if let Some(obs) = &mut self.observer {
-                obs.on_tick(now);
-            }
-        };
-        // Settle every component that is still lagging so callers see
-        // the same end state as after a dense run.
-        let now = self.now;
-        let components = &mut self.components;
-        let ctx = &mut self.ctx;
-        sched.drain_catch_ups(now, |id, since| {
-            components[id as usize].skip(since, now, ctx);
-        });
-        self.visited_component_cycles += sched.visited_component_cycles() - visited_before;
-        outcome
     }
 }
 
@@ -636,121 +410,48 @@ mod tests {
         }
     }
 
-    fn run_sleepers(skipping: bool) -> (Cycle, Cycle, RunOutcome) {
+    fn sleepers() -> Simulator<()> {
         let mut sim = Simulator::<()>::new();
-        sim.set_cycle_skipping(skipping);
         sim.add(Box::new(Sleeper::new(3, 40, 4)));
         sim.add(Box::new(Sleeper::new(5, 17, 6)));
-        let outcome = sim.run_until_idle(10_000);
-        (sim.now(), sim.skipped_cycles(), outcome)
+        sim
     }
 
     #[test]
     fn skipping_is_bit_identical_to_plain_ticking() {
-        let (now_on, skipped_on, out_on) = run_sleepers(true);
-        let (now_off, skipped_off, out_off) = run_sleepers(false);
-        assert_eq!(now_on, now_off);
-        assert_eq!(out_on, out_off);
-        assert_eq!(skipped_off, 0);
-        assert!(skipped_on > 0, "overlapping idle windows must be skipped");
+        let mut skipped = sleepers();
+        let outcome = skipped.run_until_idle(10_000);
+        assert_eq!(outcome, RunOutcome::Idle);
+        assert!(
+            skipped.skipped_cycles() > 0,
+            "overlapping idle windows must be skipped"
+        );
+        // The reference: one `step` per cycle, never a jump.
+        let mut ticked = sleepers();
+        while !ticked.all_idle() {
+            ticked.step();
+        }
+        assert_eq!(ticked.skipped_cycles(), 0);
+        assert_eq!(skipped.now(), ticked.now());
     }
 
     #[test]
     fn skip_counters_partition_the_run() {
         let mut sim = Simulator::<()>::new();
-        sim.set_cycle_skipping(true);
         sim.add(Box::new(Sleeper::new(2, 30, 3)));
         sim.run_until_idle(1_000);
+        assert!(sim.skipped_cycles() > 0);
         assert_eq!(sim.skipped_cycles() + sim.ticked_cycles(), sim.now());
     }
 
-    /// Counts cycles by attribution through a shared handle so the totals
-    /// survive the observer's ownership by the engine.
-    struct CycleLedger(Arc<Mutex<(u64, u64)>>);
-
-    impl crate::observe::Observer for CycleLedger {
-        fn on_tick(&mut self, _now: Cycle) {
-            self.0.lock().unwrap().0 += 1;
-        }
-        fn on_skip(&mut self, from: Cycle, next: Cycle) {
-            self.0.lock().unwrap().1 += next - from;
-        }
-    }
-
-    #[test]
-    fn observer_sees_every_visited_and_skipped_cycle() {
-        let mut sim = Simulator::<()>::new();
-        sim.set_cycle_skipping(true);
-        sim.add(Box::new(Sleeper::new(3, 40, 4)));
-        let ledger = Arc::new(Mutex::new((0u64, 0u64)));
-        sim.set_observer(Some(Box::new(CycleLedger(ledger.clone()))));
-        sim.run_until_idle(10_000);
-        assert!(sim.take_observer().is_some(), "observer stays installed");
-        let (ticked, skipped) = *ledger.lock().unwrap();
-        assert_eq!(ticked, sim.ticked_cycles());
-        assert_eq!(skipped, sim.skipped_cycles());
-        assert!(skipped > 0, "idle gaps must be jumped");
-        assert_eq!(ticked + skipped, sim.now());
-    }
-
-    fn run_sleepers_active(skipping: bool) -> (Cycle, Cycle, RunOutcome, u64) {
-        let mut sim = Simulator::<()>::new();
-        sim.set_cycle_skipping(skipping);
-        sim.add(Box::new(Sleeper::new(3, 40, 4)));
-        sim.add(Box::new(Sleeper::new(5, 17, 6)));
-        let outcome = sim.run_active_until_idle(10_000);
-        (
-            sim.now(),
-            sim.skipped_cycles(),
-            outcome,
-            sim.visited_component_cycles(),
-        )
-    }
-
-    #[test]
-    fn active_scheduling_matches_dense_runs() {
-        let (dense_now, _, dense_out) = run_sleepers(false);
-        let (now, skipped, out, visited) = run_sleepers_active(true);
-        assert_eq!(now, dense_now);
-        assert_eq!(out, dense_out);
-        assert!(skipped > 0, "overlapping idle windows must be skipped");
-        // The sleepers' bursts overlap only partially, so the woken sets
-        // are strictly smaller than ticking both every visited cycle.
-        let mut ticked = Simulator::<()>::new();
-        ticked.set_cycle_skipping(true);
-        ticked.add(Box::new(Sleeper::new(3, 40, 4)));
-        ticked.add(Box::new(Sleeper::new(5, 17, 6)));
-        ticked.run_until_idle(10_000);
-        assert!(
-            visited < ticked.visited_component_cycles(),
-            "sparse visits {visited} must undercut dense {}",
-            ticked.visited_component_cycles()
-        );
-        // With skipping off the active engine degrades to the dense loop.
-        let (now_off, skipped_off, out_off, _) = run_sleepers_active(false);
-        assert_eq!((now_off, skipped_off, out_off), (dense_now, 0, dense_out));
-    }
-
-    /// A shared mailbox with next-cycle visibility and a wake-token log
-    /// — a miniature of the OCP link arena's contract.
+    /// A shared mailbox with next-cycle visibility — a miniature of the
+    /// OCP link arena's contract.
     #[derive(Default)]
     struct Channel {
         pending_at: Option<Cycle>,
-        tokens: Vec<u32>,
     }
 
-    impl crate::WakeEvents for Channel {
-        fn drain_wakes(&mut self, wake: &mut dyn FnMut(u32)) {
-            for t in self.tokens.drain(..) {
-                wake(t);
-            }
-        }
-    }
-
-    const ECHO_TOKEN: u32 = 7;
-
-    /// Sends `count` messages, one every `period` cycles, logging a wake
-    /// token per send.
+    /// Sends `count` messages, one every `period` cycles.
     struct Pinger {
         period: u64,
         count: u64,
@@ -765,7 +466,6 @@ mod tests {
         fn tick(&mut self, now: Cycle, ch: &mut Channel) {
             if self.sent < self.count && now == self.next_send {
                 ch.pending_at = Some(now + 1);
-                ch.tokens.push(ECHO_TOKEN);
                 self.sent += 1;
                 self.next_send += self.period;
             }
@@ -808,41 +508,34 @@ mod tests {
         }
     }
 
-    fn run_ping_echo(active: bool, skipping: bool) -> (Cycle, RunOutcome, Vec<Cycle>) {
+    fn ping_echo() -> (Simulator<Channel>, Arc<Mutex<Vec<Cycle>>>) {
         let heard = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulator::<Channel>::new();
-        sim.set_cycle_skipping(skipping);
         sim.add(Box::new(Pinger {
             period: 50,
             count: 4,
             next_send: 10,
             sent: 0,
         }));
-        let echo = sim.add(Box::new(Echo(heard.clone())));
-        let outcome = if active {
-            sim.watch(ECHO_TOKEN, echo);
-            sim.run_active_until_idle(10_000)
-        } else {
-            sim.run_until_idle(10_000)
-        };
-        let heard = heard.lock().unwrap().clone();
-        (sim.now(), outcome, heard)
+        sim.add(Box::new(Echo(heard.clone())));
+        (sim, heard)
     }
 
     #[test]
-    fn wake_routing_matches_dense_delivery() {
-        let dense = run_ping_echo(false, false);
-        let skipping = run_ping_echo(false, true);
-        let active = run_ping_echo(true, true);
-        assert_eq!(dense.2, vec![11, 61, 111, 161]);
-        assert_eq!(dense, skipping);
-        assert_eq!(dense, active);
+    fn skipped_delivery_matches_ticked_delivery() {
+        let (mut skipped, heard_skipped) = ping_echo();
+        assert_eq!(skipped.run_until_idle(10_000), RunOutcome::Idle);
+        assert!(skipped.skipped_cycles() > 0);
+        let (mut ticked, heard_ticked) = ping_echo();
+        ticked.run_for(skipped.now());
+        assert!(ticked.all_idle());
+        assert_eq!(*heard_ticked.lock().unwrap(), vec![11, 61, 111, 161]);
+        assert_eq!(*heard_skipped.lock().unwrap(), vec![11, 61, 111, 161]);
     }
 
     #[test]
     fn busy_component_disables_jumping() {
         let mut sim: Simulator<u64> = Simulator::new();
-        sim.set_cycle_skipping(true);
         // Recorder's default next_activity is Busy, so every cycle ticks.
         sim.add(Box::new(Recorder {
             seen: Vec::new(),

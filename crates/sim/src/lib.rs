@@ -48,30 +48,14 @@ mod clock;
 mod component;
 mod kernel;
 pub mod observe;
-pub mod parallel;
 pub mod sched;
 pub mod stats;
 
 pub use clock::{ClockConfig, Nanos};
 pub use component::{Activity, Component};
 pub use kernel::{RunOutcome, Simulator};
-pub use observe::{Contention, LinkMetrics, Observer, WindowSeries};
-pub use parallel::{SpinBarrier, StatusSlot};
-pub use sched::{active_scheduling_enabled, ActiveSet, WakeEvents, WakeWheel};
-
-/// Whether event-horizon cycle skipping is enabled for this process.
-///
-/// Skipping is on by default. Setting the `NTG_NO_SKIP` environment
-/// variable to anything other than `""` or `"0"` disables it, forcing the
-/// plain tick-per-cycle loop — the escape hatch for bisecting a suspected
-/// skip regression. Results are bit-identical either way; only host wall
-/// time changes.
-pub fn cycle_skipping_enabled() -> bool {
-    match std::env::var_os("NTG_NO_SKIP") {
-        None => true,
-        Some(v) => v.is_empty() || v == "0",
-    }
-}
+pub use observe::{Contention, LinkMetrics, WindowSeries};
+pub use sched::{ActiveSet, WakeWheel};
 
 /// A simulated clock-cycle index.
 ///

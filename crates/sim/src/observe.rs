@@ -1,36 +1,12 @@
-//! Opt-in observability: the [`Observer`] hook plus alloc-free metric
-//! primitives shared by instrumented components.
+//! Alloc-free metric primitives shared by instrumented components.
 //!
-//! The simulation loops stay metric-blind by default — an engine without
-//! an observer pays one branch per visited cycle and nothing else. When
-//! one is installed, the contract is *counters only on the steady path*:
-//! every type in this module allocates at construction time and never
-//! again, so the zero-allocation hot-path guarantee (see the
-//! `alloc-count` regression test in `ntg-bench`) holds with observation
-//! on as well as off.
+//! The contract is *counters only on the steady path*: every type in
+//! this module allocates at construction time and never again, so the
+//! zero-allocation hot-path guarantee (see the `alloc_count` regression
+//! test in `ntg-bench`) holds with metrics collection on as well as off.
 
 use crate::stats::Histogram;
 use crate::Cycle;
-
-/// Per-cycle callbacks from a simulation loop.
-///
-/// Installed with [`Simulator::set_observer`](crate::Simulator::set_observer);
-/// harnesses with their own tick loops (such as `ntg-platform`) drive
-/// their observers directly with the same protocol: [`on_tick`]
-/// after every executed cycle, [`on_skip`] after every event-horizon
-/// jump. Implementations must not allocate in either callback.
-///
-/// [`on_tick`]: Observer::on_tick
-/// [`on_skip`]: Observer::on_skip
-pub trait Observer {
-    /// Called after cycle `now` has fully executed (all components
-    /// ticked).
-    fn on_tick(&mut self, now: Cycle);
-
-    /// Called after a horizon jump fast-forwarded the cycles
-    /// `[from, next)` without ticking them.
-    fn on_skip(&mut self, from: Cycle, next: Cycle);
-}
 
 /// Per-master link counters collected by an instrumented interconnect.
 ///
@@ -82,9 +58,9 @@ impl Contention {
 /// Samples are accumulated into fixed-width cycle windows; when the
 /// window buffer fills, adjacent windows are merged **in place** and the
 /// window width doubles, so an arbitrarily long run fits a fixed
-/// allocation made at construction. Recording never allocates — the
-/// requirement that lets a [`Observer`] sample every cycle under the
-/// zero-alloc steady-state contract.
+/// allocation made at construction. Recording never allocates, so a
+/// run loop can sample every cycle under the zero-alloc steady-state
+/// contract.
 ///
 /// Under event-horizon skipping the series stays exact: a skipped
 /// stretch contributes zero events to the windows it crosses, exactly
@@ -171,38 +147,6 @@ impl WindowSeries {
         self.next_boundary += self.window;
     }
 
-    /// Folds another series into this one, window by window.
-    ///
-    /// Both series must have been driven with the *same* sequence of
-    /// `now` values (only the deltas may differ) — then their window
-    /// structures are identical and the merged series equals one series
-    /// that had recorded the sum of both deltas at every step. The
-    /// partitioned mesh scheduler relies on this: each worker samples its
-    /// own region at the same cycles, and the post-run merge is
-    /// bit-identical to serial sampling of the whole fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window structures differ (different widths, closed
-    /// counts or boundaries) — that means the two series were not driven
-    /// in lockstep and an elementwise sum would be meaningless.
-    pub fn merge(&mut self, other: &WindowSeries) {
-        assert_eq!(self.window, other.window, "window widths differ");
-        assert_eq!(
-            self.windows.len(),
-            other.windows.len(),
-            "closed window counts differ"
-        );
-        assert_eq!(
-            self.next_boundary, other.next_boundary,
-            "open-window boundaries differ"
-        );
-        for (w, o) in self.windows.iter_mut().zip(other.windows.iter()) {
-            *w += o;
-        }
-        self.acc += other.acc;
-    }
-
     /// The current window width in cycles (doubles as the run grows).
     pub fn window_cycles(&self) -> Cycle {
         self.window
@@ -277,34 +221,6 @@ mod tests {
         assert_eq!(s.total(), 1_000);
         assert!(s.windows().len() <= 2);
         assert!(s.window_cycles().is_power_of_two());
-    }
-
-    #[test]
-    fn lockstep_merge_equals_summed_recording() {
-        let mut a = WindowSeries::new("w", 1, 4);
-        let mut b = WindowSeries::new("w", 1, 4);
-        let mut whole = WindowSeries::new("w", 1, 4);
-        // Same `now` sequence (including a capacity merge), split deltas.
-        for now in 0..70u64 {
-            let (da, db) = (now % 3, now % 5);
-            a.record(now, da);
-            b.record(now, db);
-            whole.record(now, da + db);
-        }
-        a.merge(&b);
-        assert_eq!(a.windows(), whole.windows());
-        assert_eq!(a.total(), whole.total());
-        assert_eq!(a.window_cycles(), whole.window_cycles());
-    }
-
-    #[test]
-    #[should_panic(expected = "closed window counts differ")]
-    fn merge_rejects_mismatched_structure() {
-        let mut a = WindowSeries::new("w", 1, 8);
-        let mut b = WindowSeries::new("w", 1, 8);
-        a.record(5, 1);
-        b.record(2, 1);
-        a.merge(&b);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! O(active)-component scheduling: the wake wheel and active set behind
-//! the sparse simulation loops.
+//! `ntg-platform`'s run loop.
 //!
 //! The event-horizon protocol (see [`Activity`]) lets an engine skip
 //! *globally* quiescent stretches, but a platform where one component is
@@ -12,53 +12,16 @@
 //! * [`ActiveSet`] — the scheduler state an engine drives: which
 //!   components run every cycle, which sleep in the wheel, which are
 //!   parked awaiting an inbound event, plus the due queues that wheel
-//!   expiries and [`WakeEvents`] touches feed;
-//! * [`WakeEvents`] — the context-side log of cross-component touches
-//!   that makes sleeping through a passive wait sound.
+//!   expiries and cross-component touches feed.
 //!
-//! A component skipped by the sparse loop is *individually*
-//! fast-forwarded through the existing [`crate::Component::skip`]
-//! contract when it is next visited, so results stay bit-identical to
-//! the dense engine. Setting `NTG_NO_ACTIVE_SCHED=1` disables the
-//! sparse loops process-wide (see [`active_scheduling_enabled`]) — the
-//! escape hatch for bisecting a suspected hint-precision regression.
+//! A component the loop did not visit is *individually* fast-forwarded
+//! through the existing [`crate::Component::skip`] contract when it is
+//! next visited, so results stay bit-identical to ticking every
+//! component every cycle.
 //!
 //! [`Activity`]: crate::Activity
 
 use crate::{Activity, Cycle};
-
-/// Whether O(active)-component scheduling is enabled for this process.
-///
-/// On by default. Setting the `NTG_NO_ACTIVE_SCHED` environment variable
-/// to anything other than `""` or `"0"` disables it, forcing the dense
-/// visit-every-component loop (which still honours the global event
-/// horizon, exactly as before this scheduler existed). Results are
-/// bit-identical either way; only host wall time changes.
-pub fn active_scheduling_enabled() -> bool {
-    match std::env::var_os("NTG_NO_ACTIVE_SCHED") {
-        None => true,
-        Some(v) => v.is_empty() || v == "0",
-    }
-}
-
-/// A context's log of cross-component touches, drained once per ticked
-/// cycle by a sparse engine.
-///
-/// Every write that becomes visible to another component on the *next*
-/// cycle (the platform's channel-visibility contract) must log a wake
-/// token identifying the reader, so the engine can pull the reader out
-/// of the wheel before the data becomes visible. Contexts with no
-/// shared state (like `()`) log nothing, which makes sleeping on any
-/// hint trivially sound.
-pub trait WakeEvents {
-    /// Drains every token logged since the last drain, invoking `wake`
-    /// once per token. Duplicates are allowed (the scheduler dedups).
-    fn drain_wakes(&mut self, wake: &mut dyn FnMut(u32));
-}
-
-impl WakeEvents for () {
-    fn drain_wakes(&mut self, _wake: &mut dyn FnMut(u32)) {}
-}
 
 const NONE: u32 = u32::MAX;
 
@@ -80,7 +43,7 @@ pub const WHEEL_HORIZON: Cycle = 1 << (SLOT_BITS * LEVELS as u32);
 /// per-component index arrays sized once at construction, so steady-state
 /// operation performs no heap allocation. Each level keeps a 64-bit slot
 /// occupancy mask, making [`next_wake`](Self::next_wake) a handful of
-/// bit-scans (it is *exact*, not a lower bound — the sparse engines jump
+/// bit-scans (it is *exact*, not a lower bound — the run loop jumps
 /// straight to it).
 #[derive(Debug)]
 pub struct WakeWheel {
@@ -241,7 +204,7 @@ impl WakeWheel {
     /// before) `to` onto `due`, unlinked from the wheel.
     ///
     /// The caller must not advance past a pending wake
-    /// (`to <= next_wake()`), which the sparse engines guarantee by
+    /// (`to <= next_wake()`), which the run loop guarantees by
     /// construction: jumps target the wheel minimum and ticks advance
     /// one cycle at a time.
     pub fn expire(&mut self, to: Cycle, due: &mut Vec<u32>) {
@@ -288,14 +251,14 @@ impl WakeWheel {
     }
 }
 
-/// The per-component scheduling state a sparse engine drives.
+/// The per-component scheduling state the run loop drives.
 ///
 /// Every component is either *running* (visited every cycle) or *idle*
-/// (skipped until a wheel expiry or an inbound [`WakeEvents`] touch
+/// (skipped until a wheel expiry or an inbound cross-component touch
 /// re-queues it). Idle components carry a `since` cycle — the first
 /// cycle they have not yet processed — and are caught up with one
 /// [`Component::skip`] call when next visited, so per-cycle bookkeeping
-/// stays bit-identical to the dense engine.
+/// stays bit-identical to ticking it every cycle.
 ///
 /// The driving loop per ticked cycle `now`:
 ///
@@ -303,7 +266,8 @@ impl WakeWheel {
 ///    for each, [`take_catch_up`](Self::take_catch_up) then `tick`;
 /// 2. [`reinsert`](Self::reinsert) each visited id with its fresh
 ///    `next_activity(now + 1)` hint;
-/// 3. drain the context's [`WakeEvents`] into
+/// 3. route the cycle's cross-component touches (for OCP systems,
+///    the link arena's wake tokens) into
 ///    [`wake`](Self::wake)`(id, now + 1)`;
 /// 4. [`end_cycle`](Self::end_cycle) to queue the next cycle's due set.
 ///
@@ -726,13 +690,5 @@ mod tests {
         spans.clear();
         s.drain_catch_ups(7, |id, since| spans.push((id, since)));
         assert!(spans.is_empty());
-    }
-
-    #[test]
-    fn env_gate_parses_like_no_skip() {
-        // Plain behavioural check: absent the variable, scheduling is on.
-        if std::env::var_os("NTG_NO_ACTIVE_SCHED").is_none() {
-            assert!(active_scheduling_enabled());
-        }
     }
 }

@@ -133,22 +133,6 @@ impl Histogram {
         (self.count > 0).then_some(self.sum as f64 / self.count as f64)
     }
 
-    /// Folds another histogram's samples into this one.
-    ///
-    /// Exactly equivalent to having recorded `other`'s samples here: the
-    /// partitioned mesh scheduler keeps one histogram per worker thread
-    /// and merges them after the run, so merged summaries are
-    /// bit-identical to a serial run's.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// The number of samples in the bucket covering `value`.
     pub fn bucket_for(&self, value: u64) -> u64 {
         let idx = if value == 0 {
@@ -207,28 +191,6 @@ mod tests {
         assert_eq!(h.min(), Some(5));
         assert_eq!(h.max(), Some(15));
         assert_eq!(h.mean(), Some(10.0));
-    }
-
-    #[test]
-    fn histogram_merge_equals_recording_all_samples() {
-        let (mut a, mut b, mut whole) = (
-            Histogram::new("h"),
-            Histogram::new("h"),
-            Histogram::new("h"),
-        );
-        for v in [0u64, 1, 7, 300] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [2u64, 9000] {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-        // Merging an empty histogram is a no-op.
-        a.merge(&Histogram::new("h"));
-        assert_eq!(a, whole);
     }
 
     #[test]
