@@ -21,6 +21,23 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# The service path must not grow a sleep or a poll back: `accept`
+# blocks in the kernel (the stop-flag watcher and the accept-error
+# back-off in http.rs are the only timed waits), the events endpoint
+# long-polls on a condition variable, and `watch` loops over it.
+echo "==> serve guard: no non-blocking listener, no sleeps on the request path"
+if grep -rn 'set_nonblocking' crates/serve/src \
+    || grep -n 'thread::sleep' crates/serve/src/server.rs crates/serve/src/bin/ntg-sweep.rs; then
+    echo "ci: ntg-serve polls or sleeps again (see above)" >&2
+    exit 1
+fi
+
+# Connection handling under faults and hostile bytes, over real
+# sockets. Bounded: a connection thread or an accept loop that hangs
+# must fail here, not wedge the workspace stage below.
+echo "==> serve faults: http_faults under a timeout"
+timeout 120 cargo test -q -p ntg-serve --test http_faults
+
 echo "==> workspace tests"
 cargo test --workspace -q
 
@@ -147,9 +164,11 @@ PYEOF
 # Campaign-service smoke: an ntg-serve daemon on an ephemeral loopback
 # port, a 12-job campaign submitted / watched / fetched through the
 # ntg-sweep client — the fetched canonical file must be byte-identical
-# to a local run of the same spec. Then the tiered store: a cold run
-# publishes every artifact to the daemon, a warm run from an empty
-# local store rebuilds nothing (the remote counters prove it).
+# to a local run of the same spec, and `watch` must have printed one
+# line per event of the job, the last of them `done`. Then the tiered
+# store: a cold run publishes every artifact to the daemon, a warm run
+# from an empty local store rebuilds nothing (the remote counters prove
+# it).
 echo "==> serve smoke: submit/watch/fetch matches local run"
 SERVE_SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$STORE_SMOKE_DIR" "$REPORT_SMOKE_DIR" "$SYN_SMOKE_DIR" "$MESH_SMOKE_DIR" "$SERVE_SMOKE_DIR"; kill "${SERVE_PID:-0}" 2> /dev/null || true' EXIT
@@ -165,7 +184,14 @@ timeout 300 ./target/release/ntg-sweep $SPEC_AXES --no-store --quiet \
 timeout 60 ./target/release/ntg-sweep submit --server "$ADDR" $SPEC_AXES \
     > "$SERVE_SMOKE_DIR/submit.txt"
 JOB=$(sed -n 's/^job \([0-9a-f]*\):.*/\1/p' "$SERVE_SMOKE_DIR/submit.txt")
-timeout 300 ./target/release/ntg-sweep watch --server "$ADDR" "$JOB" > /dev/null
+timeout 300 ./target/release/ntg-sweep watch --server "$ADDR" "$JOB" \
+    > "$SERVE_SMOKE_DIR/watch.txt"
+tail -n 1 "$SERVE_SMOKE_DIR/watch.txt" | grep -q '"event":"done"'
+python3 -c 'import sys, urllib.request as u
+# Loopback only: never through a proxy the environment may name.
+sys.stdout.buffer.write(u.build_opener(u.ProxyHandler({})).open(sys.argv[1]).read())' \
+    "http://$ADDR/jobs/$JOB/events" > "$SERVE_SMOKE_DIR/events.txt"
+[ "$(wc -l < "$SERVE_SMOKE_DIR/watch.txt")" -eq "$(wc -l < "$SERVE_SMOKE_DIR/events.txt")" ]
 timeout 60 ./target/release/ntg-sweep fetch --server "$ADDR" "$JOB" \
     --out "$SERVE_SMOKE_DIR/fetched.jsonl" > /dev/null
 cmp "$SERVE_SMOKE_DIR/fetched.jsonl" "$SERVE_SMOKE_DIR/local.jsonl"

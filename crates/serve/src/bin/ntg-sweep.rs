@@ -105,7 +105,10 @@ SERVICE COMMANDS:
     submit   POST the spec to an ntg-serve daemon; prints the job id
              (the campaign fingerprint — resubmitting the same spec is
              idempotent and resumes crashed campaigns)
-    watch    poll the job's NDJSON progress events until it finishes
+    watch    print the job's NDJSON progress events as they happen
+             (long-polls GET /jobs/<id>/events?from=N: no sleep, about
+             one request per event); exits 0 on `done`, non-zero with
+             the job's error on `error`
     fetch    download the merged canonical JSONL (byte-identical to a
              local run of the same spec), a report view (--view
              markdown|table2|rankings|pareto|saturation), and
@@ -445,7 +448,7 @@ fn run_submit(args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Polls a job's status; returns `(state, printable error)`.
+/// Reads a job's status; returns `(state, printable error)`.
 fn job_state(server: &str, id: &str) -> Result<(String, Option<String>), String> {
     let (status, body) = http::get(server, &format!("/jobs/{id}"))?;
     let text = String::from_utf8_lossy(&body);
@@ -462,9 +465,13 @@ fn job_state(server: &str, id: &str) -> Result<(String, Option<String>), String>
     Ok((state, error))
 }
 
-/// `ntg-sweep watch --server ADDR JOB_ID`
+/// `ntg-sweep watch --server ADDR JOB_ID` — a loop over the long-poll
+/// events endpoint: the daemon holds each request until event `from`
+/// exists, so this prints an event as it happens and returns one round
+/// trip after the terminal one, with no sleep here.
 fn run_watch(args: Vec<String>) -> Result<ExitCode, String> {
     let (server, id) = parse_server_and_id(args, "watch")?;
+    let failed = |msg: &str| Err(format!("watch: job {id} failed: {msg}"));
     let mut from = 0usize;
     loop {
         let (status, body) = http::get(&server, &format!("/jobs/{id}/events?from={from}"))?;
@@ -478,17 +485,25 @@ fn run_watch(args: Vec<String>) -> Result<ExitCode, String> {
         for line in text.lines().filter(|l| !l.is_empty()) {
             println!("{line}");
             from += 1;
-        }
-        let (state, error) = job_state(&server, &id)?;
-        match state.as_str() {
-            "done" => return Ok(ExitCode::SUCCESS),
-            "failed" => {
-                return Err(format!(
-                    "watch: job {id} failed: {}",
-                    error.unwrap_or_default()
-                ));
+            let event = Json::parse(line).ok();
+            let field = |name| event.as_ref()?.get(name)?.as_str();
+            match field("event") {
+                Some("done") => return Ok(ExitCode::SUCCESS),
+                Some("error") => return failed(field("message").unwrap_or_default()),
+                _ => {}
             }
-            _ => std::thread::sleep(std::time::Duration::from_millis(200)),
+        }
+        // An empty answer is the daemon's long-poll deadline on a quiet
+        // job — or a job that ended without this loop seeing its last
+        // event (a restarted daemon re-adopts it with a shorter list),
+        // which would answer empty at once, forever. Tell them apart.
+        if body.is_empty() {
+            let (state, error) = job_state(&server, &id)?;
+            match state.as_str() {
+                "done" => return Ok(ExitCode::SUCCESS),
+                "failed" => return failed(&error.unwrap_or_default()),
+                _ => {}
+            }
         }
     }
 }

@@ -26,25 +26,49 @@
 //!
 //! ## Progress
 //!
-//! Progress is a monotonically growing list of NDJSON events per job.
-//! `GET /jobs/<id>/events?from=N` returns the events from index `N`
-//! on — polling replaces streaming because the HTTP layer is
-//! Content-Length framed by design (no chunked encoding).
+//! Progress is a monotonically growing list of NDJSON events per job,
+//! read by long-polling `GET /jobs/<id>/events?from=N` (the HTTP layer
+//! is Content-Length framed by design, so there is no chunked stream to
+//! hold open). The contract:
+//!
+//! * the answer is always `200` with the events from index `N` on, one
+//!   per line — or `404` for an unknown id;
+//! * it is immediate when event `N` already exists or the job is
+//!   terminal (`done` / `failed`: nothing more will be appended);
+//! * otherwise the request parks on the job's condition variable until
+//!   the next event is pushed or `EVENTS_WAIT` has passed, then answers
+//!   with what there is — possibly nothing. `EVENTS_WAIT` sits below
+//!   the client's socket timeout, so a quiet job reads as an empty
+//!   `200`, never as a timed-out request;
+//! * the last event of a job is `done` or `error`, and the job's state
+//!   is terminal *before* that event is visible: a client that sees
+//!   `done` can fetch `results` at once.
+//!
+//! A watcher therefore loops `from += lines received` until it reads
+//! the terminal event: about one request per event, no sleep on either
+//! side.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use ntg_explore::{
     merge_shards, metrics_path, run_campaign, shard_path, timings_path, CampaignSpec, Json,
     RemoteTier, RunOptions,
 };
 
-use crate::http::{Request, Response};
+use crate::http::{Request, Response, IO_TIMEOUT};
 use crate::remote::BlobStore;
+
+/// Longest an events long-poll parks before answering with what there
+/// is. Below [`IO_TIMEOUT`] with room to write the answer, so the
+/// client's read timeout never fires first.
+const EVENTS_WAIT: Duration = Duration::from_secs(20);
+const _: () = assert!(EVENTS_WAIT.as_secs() + 5 <= IO_TIMEOUT.as_secs());
 
 /// Job lifecycle states.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,6 +93,10 @@ impl JobState {
             JobState::Failed(_) => "failed",
         }
     }
+
+    fn is_terminal(&self) -> bool {
+        matches!(self, JobState::Done | JobState::Failed(_))
+    }
 }
 
 /// One accepted campaign.
@@ -80,6 +108,8 @@ pub struct Job {
     dir: PathBuf,
     state: Mutex<JobState>,
     events: Mutex<Vec<String>>,
+    /// Notified on every push to `events`; long-polls park on it.
+    pushed: Condvar,
 }
 
 impl Job {
@@ -87,10 +117,32 @@ impl Job {
         let mut obj = vec![("job".to_string(), Json::Str(self.id.clone()))];
         obj.extend(fields);
         self.events.lock().unwrap().push(Json::Obj(obj).render());
+        self.pushed.notify_all();
     }
 
     fn set_state(&self, s: JobState) {
         *self.state.lock().unwrap() = s;
+    }
+
+    /// Ends the job: the state turns terminal first, then the terminal
+    /// event (`done`, or `error` with the message) becomes visible. In
+    /// that order a client that reacts to the event finds the results
+    /// served, and a long-poll that finds the state terminal is always
+    /// followed by the push that wakes it.
+    fn finish(&self, outcome: Result<(), String>) {
+        match outcome {
+            Ok(()) => {
+                self.set_state(JobState::Done);
+                self.push_event(vec![("event".into(), Json::Str("done".into()))]);
+            }
+            Err(msg) => {
+                self.set_state(JobState::Failed(msg.clone()));
+                self.push_event(vec![
+                    ("event".into(), Json::Str("error".into())),
+                    ("message".into(), Json::Str(msg)),
+                ]);
+            }
+        }
     }
 
     fn status_json(&self) -> Json {
@@ -180,7 +232,7 @@ impl JobServer {
                     .query_param("from")
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0);
-                self.job_events(id, from)
+                self.job_events(id, from, EVENTS_WAIT)
             }
             ("GET", ["jobs", id, "results"]) => {
                 self.job_file(id, Path::to_path_buf, "canonical results")
@@ -260,6 +312,7 @@ impl JobServer {
                 dir,
                 state: Mutex::new(JobState::Queued),
                 events: Mutex::new(Vec::new()),
+                pushed: Condvar::new(),
             });
             jobs.insert(id.clone(), job.clone());
             job
@@ -267,12 +320,11 @@ impl JobServer {
         // A finished canonical file from a previous daemon life means
         // the job is already done — adopt it instead of re-running.
         if canonical_is_complete(&job) {
-            job.set_state(JobState::Done);
             job.push_event(vec![
                 ("event".into(), Json::Str("adopted".into())),
                 ("jobs".into(), Json::Int(job.jobs as i64)),
             ]);
-            job.push_event(vec![("event".into(), Json::Str("done".into()))]);
+            job.finish(Ok(()));
             return Response::json(200, job.status_json().render());
         }
         job.push_event(vec![
@@ -311,11 +363,20 @@ impl JobServer {
         }
     }
 
-    fn job_events(&self, id: &str, from: usize) -> Response {
+    /// The events from index `from` on, waiting up to `wait` for the
+    /// first of them (module docs, "Progress"). The predicate runs
+    /// under the events lock and every terminal state is followed by a
+    /// push ([`Job::finish`]), so no wake-up can be missed.
+    fn job_events(&self, id: &str, from: usize, wait: Duration) -> Response {
         let Some(job) = self.find_job(id) else {
             return Response::not_found(format!("no job {id}"));
         };
-        let events = job.events.lock().unwrap();
+        let (events, _timed_out) = job
+            .pushed
+            .wait_timeout_while(job.events.lock().unwrap(), wait, |events| {
+                events.len() <= from && !job.state.lock().unwrap().is_terminal()
+            })
+            .unwrap();
         let mut body = String::new();
         for line in events.iter().skip(from) {
             body.push_str(line);
@@ -441,12 +502,7 @@ impl JobServer {
         });
         let errors = errors.into_inner().unwrap();
         if !errors.is_empty() {
-            let msg = errors.join("; ");
-            job.push_event(vec![
-                ("event".into(), Json::Str("error".into())),
-                ("message".into(), Json::Str(msg.clone())),
-            ]);
-            job.set_state(JobState::Failed(msg));
+            job.finish(Err(errors.join("; ")));
             return;
         }
         let (traces_built, images_built) = *totals.lock().unwrap();
@@ -465,19 +521,12 @@ impl JobServer {
                     ("event".into(), Json::Str("merged".into())),
                     ("jobs".into(), Json::Int(summary.jobs as i64)),
                 ]);
-                job.push_event(vec![("event".into(), Json::Str("done".into()))]);
-                job.set_state(JobState::Done);
+                job.finish(Ok(()));
                 if !self.config.quiet {
                     eprintln!("[job {}] done: {} jobs merged", job.id, summary.jobs);
                 }
             }
-            Err(e) => {
-                job.push_event(vec![
-                    ("event".into(), Json::Str("error".into())),
-                    ("message".into(), Json::Str(e.clone())),
-                ]);
-                job.set_state(JobState::Failed(e));
-            }
+            Err(e) => job.finish(Err(e)),
         }
     }
 }
@@ -519,6 +568,121 @@ fn merge_sidecars(shard_files: &[PathBuf], out: &Path) {
         }
         if !merged.is_empty() {
             let _ = fs::write(derive(out), merged);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// A server over a scratch data dir holding one hand-made running
+    /// job that no runner touches: the test pushes its events.
+    fn server_with_job(tag: &str) -> (Arc<JobServer>, Arc<Job>) {
+        let data =
+            std::env::temp_dir().join(format!("ntg-serve-events-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&data);
+        let server = JobServer::open(ServerConfig {
+            data: data.clone(),
+            workers: 1,
+            store: None,
+            remote: None,
+            quiet: true,
+        })
+        .unwrap();
+        let job = Arc::new(Job {
+            id: "feedfacefeedface".into(),
+            spec: CampaignSpec::new("events"),
+            jobs: 0,
+            dir: data,
+            state: Mutex::new(JobState::Running),
+            events: Mutex::new(Vec::new()),
+            pushed: Condvar::new(),
+        });
+        server
+            .jobs
+            .lock()
+            .unwrap()
+            .insert(job.id.clone(), job.clone());
+        (server, job)
+    }
+
+    fn event(name: &str) -> Vec<(String, Json)> {
+        vec![("event".into(), Json::Str(name.into()))]
+    }
+
+    fn lines(resp: &Response) -> Vec<String> {
+        assert_eq!(resp.status, 200);
+        String::from_utf8(resp.body.clone())
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// A whole minute: a test that returns at all did not wait it out.
+    const FOREVER: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn a_parked_long_poll_is_released_by_the_next_push() {
+        let (server, job) = server_with_job("release");
+        job.push_event(event("queued"));
+        let (tx, rx) = mpsc::channel();
+        let waiter = {
+            let (server, id) = (server.clone(), job.id.clone());
+            std::thread::spawn(move || {
+                tx.send(None).unwrap(); // about to park at from = len
+                let resp = server.job_events(&id, 1, FOREVER);
+                tx.send(Some((Instant::now(), resp))).unwrap();
+            })
+        };
+        assert!(rx.recv().unwrap().is_none());
+        // Nothing to answer with yet: the waiter must still be inside.
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        let pushed_at = Instant::now();
+        job.push_event(event("started"));
+        let (returned_at, resp) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the push releases the waiter")
+            .unwrap();
+        waiter.join().unwrap();
+        let late = returned_at.saturating_duration_since(pushed_at);
+        assert!(late < Duration::from_millis(50), "released {late:?} late");
+        let got = lines(&resp);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].contains(r#""event":"started""#), "{got:?}");
+    }
+
+    #[test]
+    fn the_deadline_answers_an_empty_200() {
+        let (server, job) = server_with_job("deadline");
+        job.push_event(event("queued"));
+        let wait = Duration::from_millis(30);
+        let t = Instant::now();
+        let resp = server.job_events(&job.id, 1, wait);
+        assert!(t.elapsed() >= wait, "answered before the deadline");
+        assert_eq!((resp.status, resp.body.len()), (200, 0));
+        // Still there for the next round.
+        assert_eq!(lines(&server.job_events(&job.id, 0, wait)).len(), 1);
+    }
+
+    #[test]
+    fn existing_events_terminal_jobs_and_unknown_ids_answer_at_once() {
+        let (server, job) = server_with_job("immediate");
+        job.push_event(event("queued"));
+        job.push_event(event("started"));
+        // Event `from` exists: everything from there on, no wait.
+        assert_eq!(lines(&server.job_events(&job.id, 1, FOREVER)).len(), 1);
+        assert_eq!(server.job_events("no-such-job", 0, FOREVER).status, 404);
+        // A terminal job has nothing more to wait for, at or past its end.
+        job.finish(Err("boom".into()));
+        let all = lines(&server.job_events(&job.id, 0, FOREVER));
+        assert_eq!(all.len(), 3);
+        assert!(all[2].contains(r#""event":"error""#) && all[2].contains("boom"));
+        for from in [3, 4, 1000] {
+            assert!(lines(&server.job_events(&job.id, from, FOREVER)).is_empty());
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Campaign-service integration tests: a served campaign is
 //! byte-identical to a local run, a warm remote store means zero
 //! rebuilds, resubmission is idempotent across daemon restarts, a
-//! daemon killed mid-campaign resumes from shard journals, and remote
-//! corruption degrades to a local rebuild.
+//! daemon killed mid-campaign resumes from shard journals, remote
+//! corruption degrades to a local rebuild, and the long-poll events
+//! endpoint carries a watcher (this suite's own `wait_done`, and the
+//! `ntg-sweep watch` binary) to the terminal event without polling.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,9 +46,10 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// A daemon bound to an ephemeral loopback port, serving until the
-/// returned guard is dropped.
+/// returned guard is dropped. Its handler counts the requests it sees.
 struct Daemon {
     addr: String,
+    requests: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -64,11 +67,17 @@ impl Daemon {
         let listener = Server::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().to_string();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handler: Arc<Handler> = Arc::new(move |req| server.handle(&req));
+        let requests = Arc::new(AtomicU64::new(0));
+        let counter = requests.clone();
+        let handler: Arc<Handler> = Arc::new(move |req| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            server.handle(&req)
+        });
         let flag = shutdown.clone();
         let thread = std::thread::spawn(move || listener.serve(handler, flag));
         Daemon {
             addr,
+            requests,
             shutdown,
             thread: Some(thread),
         }
@@ -106,22 +115,30 @@ fn submit(addr: &str, spec: &CampaignSpec) -> (u16, String, String) {
     )
 }
 
+fn is_event(line: &str, name: &str) -> bool {
+    Json::parse(line)
+        .unwrap()
+        .get("event")
+        .and_then(Json::as_str)
+        == Some(name)
+}
+
+/// Long-polls the job's events up to the `done` one: the daemon holds
+/// each request until there is something to read, so nothing here
+/// sleeps.
 fn wait_done(addr: &str, id: &str) {
     let deadline = Instant::now() + Duration::from_secs(120);
+    let mut seen = 0;
     loop {
-        let body = get_ok(addr, &format!("/jobs/{id}"));
-        let v = Json::parse(&String::from_utf8_lossy(&body)).unwrap();
-        match v.get("state").and_then(Json::as_str).unwrap() {
-            "done" => return,
-            "failed" => panic!(
-                "job {id} failed: {}",
-                v.get("error").and_then(Json::as_str).unwrap_or("")
-            ),
-            _ => {
-                assert!(Instant::now() < deadline, "job {id} did not finish");
-                std::thread::sleep(Duration::from_millis(50));
+        let path = format!("/jobs/{id}/events?from={seen}");
+        for line in String::from_utf8(get_ok(addr, &path)).unwrap().lines() {
+            seen += 1;
+            assert!(!is_event(line, "error"), "job {id} failed: {line}");
+            if is_event(line, "done") {
+                return;
             }
         }
+        assert!(Instant::now() < deadline, "job {id} did not finish");
     }
 }
 
@@ -409,4 +426,73 @@ fn store_endpoint_is_write_once_and_rejects_garbage() {
         matches!(status, 400 | 404),
         "traversal is rejected ({status})"
     );
+}
+
+/// One CPU job on one core: a campaign that is over in milliseconds.
+fn tiny_spec(iterations: u32) -> CampaignSpec {
+    let mut spec = CampaignSpec::new("tiny");
+    spec.workloads = vec![Workload::Cacheloop { iterations }];
+    spec.cores = CoreSelection::List(vec![1]);
+    spec.interconnects = vec![InterconnectChoice::Amba];
+    spec.masters = vec![MasterChoice::Cpu];
+    spec
+}
+
+/// The terminal event must not be visible before the terminal state:
+/// a client released by `done` asks for the outputs in the same
+/// instant, and "409 job is not done" would be a lie.
+#[test]
+fn outputs_are_served_the_moment_done_is_visible() {
+    let dir = scratch("done-then-fetch");
+    let daemon = Daemon::start(&dir.join("data"), 1);
+    for i in 0..8 {
+        let (status, id, _) = submit(&daemon.addr, &tiny_spec(40 + i));
+        assert_eq!(status, 202);
+        wait_done(&daemon.addr, &id);
+        for output in ["results", "timings", "report/markdown"] {
+            let (status, body) = http::get(&daemon.addr, &format!("/jobs/{id}/{output}")).unwrap();
+            assert_eq!(
+                status,
+                200,
+                "campaign {i}: GET {output} right after `done`: {}",
+                String::from_utf8_lossy(&body)
+            );
+        }
+    }
+}
+
+/// `ntg-sweep watch` against a live job: every event exactly once, in
+/// order, ending on `done`, for about one request per event.
+#[test]
+fn watch_prints_each_event_once_for_about_one_request_each() {
+    let dir = scratch("watch");
+    let daemon = Daemon::start(&dir.join("data"), 2);
+    let (status, id, _) = submit(&daemon.addr, &spec());
+    assert_eq!(status, 202);
+    let before = daemon.requests.load(Ordering::Relaxed);
+    let watch = std::process::Command::new(env!("CARGO_BIN_EXE_ntg-sweep"))
+        .args(["watch", "--server", &daemon.addr, &id])
+        .output()
+        .unwrap();
+    let issued = daemon.requests.load(Ordering::Relaxed) - before;
+    assert!(
+        watch.status.success(),
+        "watch failed: {}",
+        String::from_utf8_lossy(&watch.stderr)
+    );
+
+    let printed = String::from_utf8(watch.stdout).unwrap();
+    let events = String::from_utf8(get_ok(&daemon.addr, &format!("/jobs/{id}/events"))).unwrap();
+    assert_eq!(printed, events, "watch output is the event list, verbatim");
+    assert!(
+        is_event(printed.lines().last().unwrap(), "done"),
+        "{printed}"
+    );
+    let n = events.lines().count() as u64;
+    assert!(
+        issued <= n + 2,
+        "watch issued {issued} requests for {n} events"
+    );
+    // What `watch` returned on is fetchable without a retry.
+    get_ok(&daemon.addr, &format!("/jobs/{id}/results"));
 }
