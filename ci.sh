@@ -32,6 +32,23 @@ if grep -rn 'set_nonblocking' crates/serve/src \
     exit 1
 fi
 
+# A blocked master's wake hint names the one event it waits for
+# (`response_visible_at` / `accept_visible_at`, DESIGN §4.9). The
+# removed "earliest of either" accessor woke every reader on its read's
+# stale acceptance and ticked it until the response: it must not return.
+echo "==> hint guard: no next_event_at under crates/"
+if grep -rn 'next_event_at' crates; then
+    echo "ci: a wake hint reads the earliest channel event again (see above)" >&2
+    exit 1
+fi
+
+# The hint contract on generated inputs: generated TG programs and
+# stochastic sources on every fabric, complete and capped, against the
+# dense `step` oracle. Bounded: a lost wake that livelocks the engine
+# must fail here, not wedge the workspace stage below.
+echo "==> engine equivalence: generated hint suite under a timeout"
+timeout 600 cargo test -q -p ntg-bench --test engine_equivalence generated
+
 # Connection handling under faults and hostile bytes, over real
 # sockets. Bounded: a connection thread or an accept loop that hangs
 # must fail here, not wedge the workspace stage below.

@@ -351,11 +351,8 @@ impl Component<LinkArena> for StochasticTg {
                 }
             }
             State::Idling { remaining } => Activity::IdleUntil(now + Cycle::from(remaining)),
-            State::WaitResp | State::WaitAccept => match self.port.next_event_at(net) {
-                Some(at) if at > now => Activity::IdleUntil(at),
-                Some(_) => Activity::Busy,
-                None => Activity::waiting(),
-            },
+            State::WaitResp => Activity::awaiting(self.port.response_visible_at(net), now),
+            State::WaitAccept => Activity::awaiting(self.port.accept_visible_at(net), now),
         }
     }
 

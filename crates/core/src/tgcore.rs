@@ -336,11 +336,8 @@ impl Component<LinkArena> for TgCore {
             // task past its deadline; the next tick executes immediately.
             State::IdlingUntil { cycle } if cycle > now => Activity::IdleUntil(cycle),
             State::IdlingUntil { .. } => Activity::Busy,
-            State::WaitResp | State::WaitAccept => match self.port.next_event_at(net) {
-                Some(at) if at > now => Activity::IdleUntil(at),
-                Some(_) => Activity::Busy,
-                None => Activity::waiting(),
-            },
+            State::WaitResp => Activity::awaiting(self.port.response_visible_at(net), now),
+            State::WaitAccept => Activity::awaiting(self.port.accept_visible_at(net), now),
         }
     }
 

@@ -569,13 +569,12 @@ impl Component<LinkArena> for CpuCore {
                 }
             }
             // Every remaining state blocks on the bus; stall ticks only
-            // poll, so with nothing queued this is a passive wait whose
-            // horizon the responder bounds.
-            _ => match self.port.next_event_at(net) {
-                Some(at) if at > now => Activity::IdleUntil(at),
-                Some(_) => Activity::Busy,
-                None => Activity::waiting(),
-            },
+            // poll, so until the awaited event is queued this is a
+            // passive wait whose horizon the responder bounds. A store
+            // waits for its acceptance, every fetch/load/fill for its
+            // response.
+            State::WaitStore => Activity::awaiting(self.port.accept_visible_at(net), now),
+            _ => Activity::awaiting(self.port.response_visible_at(net), now),
         }
     }
 }

@@ -277,16 +277,19 @@ impl Component<LinkArena> for AmbaBus {
             }
             BusState::Granting { until, .. } if until > now => Activity::IdleUntil(until),
             BusState::Granting { .. } => Activity::Busy,
-            // Owned until the slave completes: wake at the queued
-            // acceptance/response event, if the slave produced one.
-            BusState::WaitSlave { slave, .. } => match self.slaves[slave].next_event_at(net) {
-                Some(at) if at > now => Activity::IdleUntil(at),
-                Some(_) => Activity::Busy,
-                // Nothing queued yet: the slave device bounds the
-                // horizon; wait ticks only poll (and count occupancy,
-                // which `skip` replicates).
-                None => Activity::waiting(),
-            },
+            // Owned until the slave completes — a read with its
+            // response, a posted write with its acceptance: wake when
+            // that event is visible. Until the slave produces it, the
+            // slave device bounds the horizon; wait ticks only poll (and
+            // count occupancy, which `skip` replicates).
+            BusState::WaitSlave {
+                slave,
+                expects_response,
+                ..
+            } => Activity::awaiting(
+                self.slaves[slave].completion_visible_at(net, expects_response),
+                now,
+            ),
         }
     }
 

@@ -191,8 +191,13 @@ impl Component<LinkArena> for CrossbarBus {
             }
         }
         for (lane, state) in self.lanes.iter().enumerate() {
-            if matches!(state, LaneState::WaitSlave { .. }) {
-                match self.slaves[lane].next_event_at(net) {
+            if let LaneState::WaitSlave {
+                expects_response, ..
+            } = *state
+            {
+                // The lane completes on the read's response or the
+                // posted write's acceptance; only that event wakes it.
+                match self.slaves[lane].completion_visible_at(net, expects_response) {
                     Some(at) if at > now => merge(&mut wake, at),
                     Some(_) => return Activity::Busy,
                     // Passive wait: the slave device bounds the horizon.

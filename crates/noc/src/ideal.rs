@@ -172,10 +172,11 @@ impl Component<LinkArena> for IdealInterconnect {
             }
         }
         for s in 0..self.slaves.len() {
-            if self.owners[s].front().is_some() {
-                // Waiting on the slave; a queued completion event gives
-                // the exact wake, an unfinished service does not.
-                match self.slaves[s].next_event_at(net) {
+            if let Some(&(_, expects)) = self.owners[s].front() {
+                // Waiting on the slave for the read's response or the
+                // posted write's acceptance; once queued it gives the
+                // exact wake, an unfinished service does not.
+                match self.slaves[s].completion_visible_at(net, expects) {
                     Some(at) if at > now => merge(&mut wake, at),
                     Some(_) => return Activity::Busy,
                     // Passive wait: the slave device bounds the horizon.

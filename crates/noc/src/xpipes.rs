@@ -770,10 +770,10 @@ impl XpipesNoc {
                 self.sni_step(i, net, now);
                 // Keep while injecting or holding reassembled packets.
                 // A busy-waiting NI (`busy` set, queues empty) polls
-                // `take_response`/`take_accept`, and both return `None`
-                // until the slave writes the link — which re-arms it
-                // via `wake_link` — so disarming it skips only no-op
-                // polls.
+                // `take_response` (read) or `take_accept` (write), which
+                // returns `None` until the slave produces that event —
+                // which re-arms it via `wake_link` — so disarming it
+                // skips only no-op polls.
                 let ni = &self.slave_nis[i];
                 if self.event.disarm && ni.tx.is_empty() && ni.pending.is_empty() {
                     self.event.sni_armed[w] &= !(1 << (i % 64));

@@ -130,17 +130,18 @@ impl LinkArena {
 
     /// Enables (or disables) wake-touch logging.
     ///
-    /// While enabled, every port operation that makes new state visible
-    /// to the component on the *other* end of a link next cycle —
+    /// While enabled, every port operation that makes an awaited event
+    /// visible to the component on the *other* end of a link next cycle —
     /// [`MasterPort::assert_request`]/[`MasterPort::forward_request`]
-    /// towards the slave side, [`SlavePort::accept_request`]/
-    /// [`SlavePort::push_response`] towards the master side — logs a
-    /// token identifying the reader, drained via
+    /// towards the slave side, [`SlavePort::accept_request`] of a posted
+    /// write and [`SlavePort::push_response`] towards the master side —
+    /// logs a token identifying the reader, drained via
     /// [`LinkArena::drain_wakes`]. `Platform::run` uses this to pull a
     /// sleeping component out of its wheel exactly when an inbound event
-    /// becomes visible;
-    /// consuming operations (`take_*`) wake nobody. Off by default and
-    /// free when off (one branch per write).
+    /// becomes visible. A read's acceptance wakes nobody (its master
+    /// waits for the response), and consuming operations (`take_*`) wake
+    /// nobody either. Off by default and free when off (one branch per
+    /// write).
     pub fn set_wake_logging(&mut self, on: bool) {
         self.log_wakes = on;
         if !on {
@@ -366,20 +367,38 @@ impl MasterPort {
             && ch.resp_visible_at.is_none()
     }
 
-    /// The earliest cycle at which a queued completion event (an
-    /// acceptance or a response) becomes visible to this master.
+    /// The cycle from which the oldest queued response is visible to this
+    /// master; `None` while no response is queued.
     ///
-    /// Returns `None` when neither kind of event is queued — the master
-    /// cannot tell from its port alone when it will next unblock. Used by
-    /// [`Component::next_activity`](ntg_sim::Component::next_activity)
-    /// implementations of blocked masters to hint the engine's cycle
-    /// skipper.
+    /// With [`MasterPort::accept_visible_at`] this is what a blocked
+    /// master's [`Component::next_activity`](ntg_sim::Component::next_activity)
+    /// hints from — each state asks for the one event it waits on, never
+    /// the earlier of the two: a read's acceptance is left behind
+    /// unconsumed until its response, so a reader hinting from it would
+    /// be ticked on every cycle in between.
     #[inline]
-    pub fn next_event_at(&self, net: &LinkArena) -> Option<Cycle> {
-        let ch = net.link(self.link);
-        match (ch.accept_visible_at, ch.resp_visible_at) {
-            (Some(a), Some(r)) => Some(a.min(r)),
-            (a, r) => a.or(r),
+    pub fn response_visible_at(&self, net: &LinkArena) -> Option<Cycle> {
+        net.link(self.link).resp_visible_at
+    }
+
+    /// The cycle from which the unconsumed acceptance is visible to this
+    /// master; `None` while there is none. What a master blocked on a
+    /// posted write hints from (see [`MasterPort::response_visible_at`]).
+    #[inline]
+    pub fn accept_visible_at(&self, net: &LinkArena) -> Option<Cycle> {
+        net.link(self.link).accept_visible_at
+    }
+
+    /// The visibility cycle of the event that completes the outstanding
+    /// transaction: its response if it `expects_response` (a read), its
+    /// acceptance otherwise (a posted write). What an interconnect
+    /// forwarding a transaction to a slave hints from while it waits.
+    #[inline]
+    pub fn completion_visible_at(&self, net: &LinkArena, expects_response: bool) -> Option<Cycle> {
+        if expects_response {
+            self.response_visible_at(net)
+        } else {
+            self.accept_visible_at(net)
         }
     }
 }
@@ -431,6 +450,8 @@ impl SlavePort {
     /// Returns `None` under the same conditions as
     /// [`SlavePort::peek_request`]. Acceptance is recorded so the master
     /// can unblock (posted-write semantics) and reported to the observer.
+    /// Only a posted write's acceptance logs a wake token: a master that
+    /// issued a read waits for the response, which wakes it when pushed.
     #[inline]
     pub fn accept_request(&self, net: &mut LinkArena, now: Cycle) -> Option<OcpRequest> {
         let ch = net.link_mut(self.link);
@@ -448,7 +469,9 @@ impl SlavePort {
         if let Some(obs) = ch.observer.as_mut() {
             obs.on_accept(now, &req);
         }
-        net.log_wake(self.link, true);
+        if !req.cmd.expects_response() {
+            net.log_wake(self.link, true);
+        }
         Some(req)
     }
 
@@ -582,20 +605,25 @@ mod tests {
     fn visibility_helpers_report_event_cycles() {
         let (mut net, m, s) = channel("l", MasterId(0));
         assert_eq!(s.request_visible_at(&net), None);
-        assert_eq!(m.next_event_at(&net), None);
-        m.assert_request(&mut net, OcpRequest::read(0x10), 5);
+        assert_eq!(m.accept_visible_at(&net), None);
+        assert_eq!(m.response_visible_at(&net), None);
+        let tag = m.assert_request(&mut net, OcpRequest::read(0x10), 5);
         // Asserted at 5 → visible to the slave from 6.
         assert_eq!(s.request_visible_at(&net), Some(6));
         s.accept_request(&mut net, 6);
         assert_eq!(s.request_visible_at(&net), None);
-        // Accepted at 6 → acceptance visible to the master from 7.
-        assert_eq!(m.next_event_at(&net), Some(7));
-        s.push_response(&mut net, OcpResponse::ok(vec![1], 0), 6);
-        // Response also from 7; min of the two.
-        assert_eq!(m.next_event_at(&net), Some(7));
-        m.take_response(&mut net, 7);
-        m.take_accept(&mut net, 7);
-        assert_eq!(m.next_event_at(&net), None);
+        // Accepted at 6 → acceptance visible to the master from 7; the
+        // response accessor does not see it.
+        assert_eq!(m.accept_visible_at(&net), Some(7));
+        assert_eq!(m.response_visible_at(&net), None);
+        s.push_response(&mut net, OcpResponse::ok(vec![1], tag), 9);
+        assert_eq!(m.response_visible_at(&net), Some(10));
+        assert_eq!(m.accept_visible_at(&net), Some(7));
+        // The response subsumes the read's acceptance.
+        m.take_response(&mut net, 10);
+        assert_eq!(m.accept_visible_at(&net), None);
+        assert_eq!(m.response_visible_at(&net), None);
+        assert!(m.is_quiet(&net));
     }
 
     #[test]
@@ -633,8 +661,16 @@ mod tests {
         assert!(drain(&mut net).is_empty());
         m.assert_request(&mut net, OcpRequest::read(0x14), 3);
         assert_eq!(drain(&mut net), vec![(m.id(), false)]);
+        // A read's acceptance wakes nobody: its master awaits the
+        // response. A posted write's acceptance wakes the master side.
         s.accept_request(&mut net, 4);
+        assert!(drain(&mut net).is_empty());
+        m.assert_request(&mut net, OcpRequest::write(0x18, 7), 4);
+        assert_eq!(drain(&mut net), vec![(m.id(), false)]);
+        s.accept_request(&mut net, 5);
         assert_eq!(drain(&mut net), vec![(m.id(), true)]);
+        m.take_accept(&mut net, 6);
+        assert!(drain(&mut net).is_empty());
         // Disabling clears any undrained backlog.
         s.push_response(&mut net, OcpResponse::ok(vec![2], 0), 5);
         net.set_wake_logging(false);

@@ -33,7 +33,10 @@
 //! Trace timestamps are defined as: request assert cycle, request accept
 //! cycle, response push cycle. A blocked master resumes execution on the
 //! cycle *after* the unblocking event, which is exactly the arithmetic the
-//! trace-to-program translator in `ntg-core` relies on.
+//! trace-to-program translator in `ntg-core` relies on. A read's master
+//! waits for the response, never for the acceptance: its wake hint reads
+//! `MasterPort::response_visible_at`, a posted write's reads
+//! `MasterPort::accept_visible_at`, and a read's acceptance logs no wake.
 //!
 //! # Example
 //!

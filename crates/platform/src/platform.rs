@@ -743,14 +743,16 @@ impl Platform {
         });
     }
 
-    /// Samples per-cycle-window metrics; called once per visited cycle
-    /// (and once per jump, attributing the stretch to its first cycle).
-    /// One branch when metrics are off; alloc-free when on.
+    /// Samples per-cycle-window metrics for cycles `now..until`: once
+    /// per visited cycle, and once per jump — whose stretch a fabric that
+    /// holds a transfer across it counted evenly, so it is spread over
+    /// the windows it crosses exactly as ticking would have. One branch
+    /// when metrics are off; alloc-free when on.
     #[inline]
-    fn sample_metrics(&mut self, now: Cycle) {
+    fn sample_metrics(&mut self, now: Cycle, until: Cycle) {
         if let Some(rec) = &mut self.metrics {
             let util = self.interconnect.utilization_cycles();
-            rec.busy.record(now, util - rec.last_util);
+            rec.busy.record_span(now, until, util - rec.last_util);
             rec.last_util = util;
         }
     }
@@ -867,7 +869,7 @@ impl Platform {
                 if target > now {
                     self.interconnect.skip(now, target, &mut self.net);
                     self.skipped_cycles += target - now;
-                    self.sample_metrics(now);
+                    self.sample_metrics(now, target);
                     self.now = target;
                     sched.advance(target);
                     continue;
@@ -929,7 +931,7 @@ impl Platform {
                 }
             }
             sched.end_cycle(now);
-            self.sample_metrics(now);
+            self.sample_metrics(now, next);
             self.ticked_cycles += 1;
             self.now = next;
         }
@@ -1009,7 +1011,7 @@ impl Platform {
             for s in &mut self.slaves {
                 s.tick(now, &mut self.net);
             }
-            self.sample_metrics(now);
+            self.sample_metrics(now, now + 1);
             self.visited_component_cycles += self.components() as u64;
             self.ticked_cycles += 1;
             self.now += 1;

@@ -50,6 +50,21 @@ impl Activity {
     pub const fn waiting() -> Self {
         Activity::IdleUntil(Cycle::MAX)
     }
+
+    /// A passive wait on one awaited event that becomes visible at `at`
+    /// (`None` while nobody has produced it yet): `Busy` once it is
+    /// visible in cycle `now`, `IdleUntil(at)` before that, and
+    /// [`waiting()`](Self::waiting) while it does not exist. The hint of
+    /// a component blocked on exactly one event — it must name *that*
+    /// event, not merely the next thing visible on its channel.
+    #[inline]
+    pub const fn awaiting(at: Option<Cycle>, now: Cycle) -> Self {
+        match at {
+            Some(at) if at > now => Activity::IdleUntil(at),
+            Some(_) => Activity::Busy,
+            None => Activity::waiting(),
+        }
+    }
 }
 
 /// A clocked hardware block.
@@ -160,6 +175,14 @@ mod tests {
         assert_eq!(n.next_activity(1_000, &()), Activity::Busy);
         // Default skip is a no-op and must not panic.
         n.skip(0, 10, &mut ());
+    }
+
+    #[test]
+    fn awaiting_names_the_event_or_waits() {
+        assert_eq!(Activity::awaiting(None, 5), Activity::waiting());
+        assert_eq!(Activity::awaiting(Some(9), 5), Activity::IdleUntil(9));
+        assert_eq!(Activity::awaiting(Some(5), 5), Activity::Busy);
+        assert_eq!(Activity::awaiting(Some(2), 5), Activity::Busy);
     }
 
     #[test]

@@ -63,8 +63,10 @@ impl Contention {
 /// contract.
 ///
 /// Under event-horizon skipping the series stays exact: a skipped
-/// stretch contributes zero events to the windows it crosses, exactly
-/// as ticking it would have (skipped cycles are pure bookkeeping).
+/// stretch whose ticks would count nothing contributes zero events to
+/// the windows it crosses, and one whose ticks count the same every
+/// cycle (a fabric holding a transfer across a jump) is spread over
+/// them by [`WindowSeries::record_span`].
 ///
 /// # Example
 ///
@@ -126,6 +128,30 @@ impl WindowSeries {
             self.close_window();
         }
         self.acc += delta;
+    }
+
+    /// Adds `delta` events spread evenly over cycles `start..end`: what
+    /// one [`record`](Self::record) of `delta / (end - start)` per cycle
+    /// would have left, so a jump over a window boundary splits its
+    /// events where ticking would have. A remainder (a span whose ticks
+    /// did not count evenly) lands on `start`, keeping the total exact.
+    #[inline]
+    pub fn record_span(&mut self, start: Cycle, end: Cycle, delta: u64) {
+        let len = end - start;
+        if len == 1 {
+            // A ticked cycle: the common case, one record.
+            self.record(start, delta);
+            return;
+        }
+        let per_cycle = delta / len;
+        self.record(start, delta % len);
+        let mut at = start;
+        while at < end {
+            self.record(at, 0);
+            let stop = self.next_boundary.min(end);
+            self.acc += per_cycle * (stop - at);
+            at = stop;
+        }
     }
 
     fn close_window(&mut self) {
@@ -210,6 +236,28 @@ mod tests {
         s.record(22, 4); // crosses four whole boundaries
         assert_eq!(s.windows(), &[3, 0, 0, 0]);
         assert_eq!(s.total(), 7);
+    }
+
+    #[test]
+    fn a_span_splits_like_per_cycle_records() {
+        // Spans across boundaries and capacity merges, with even and
+        // uneven counts, against the per-cycle recording they stand for.
+        for (start, end, delta) in [(3, 4, 2), (3, 27, 48), (0, 40, 40), (9, 70, 61 * 3 + 5)] {
+            let (mut span, mut ticks) =
+                (WindowSeries::new("w", 4, 4), WindowSeries::new("w", 4, 4));
+            span.record(1, 7);
+            ticks.record(1, 7);
+            span.record_span(start, end, delta);
+            let len = end - start;
+            ticks.record(start, delta % len);
+            for now in start..end {
+                ticks.record(now, delta / len);
+            }
+            span.record(80, 0);
+            ticks.record(80, 0);
+            assert_eq!(span.collect(), ticks.collect(), "{start}..{end} +{delta}");
+            assert_eq!(span.window_cycles(), ticks.window_cycles());
+        }
     }
 
     #[test]

@@ -199,11 +199,7 @@ impl Component<LinkArena> for SyntheticTg {
                     Activity::Busy
                 }
             }
-            State::WaitAccept => match self.port.next_event_at(net) {
-                Some(at) if at > now => Activity::IdleUntil(at),
-                Some(_) => Activity::Busy,
-                None => Activity::waiting(),
-            },
+            State::WaitAccept => Activity::awaiting(self.port.accept_visible_at(net), now),
             State::Halted => {
                 if self.port.is_quiet(net) {
                     Activity::Drained

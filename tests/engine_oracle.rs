@@ -5,10 +5,11 @@
 //! identical cycles, per-master reports, transactions and traces
 //! required. `crates/bench/tests/engine_equivalence.rs` checks the same
 //! contract over the full matrix, but the root `cargo test -q` runs only
-//! this package — a lost wake or a wrong catch-up must fail here.
+//! this package — a lost wake or a wrong catch-up must fail here, and
+//! so must a blocked reader that is ticked instead of sleeping.
 
 use ntg::platform::{InterconnectChoice, Platform, PlatformBuilder, RunReport};
-use ntg::tg::{assemble, TraceTranslator, TranslationMode};
+use ntg::tg::{assemble, TgImage, TraceTranslator, TranslationMode};
 use ntg::workloads::synthetic::{SyntheticPlatformExt, SyntheticSpec};
 use ntg::workloads::Workload;
 
@@ -70,23 +71,29 @@ fn assert_run_matches_oracle(what: &str, build: impl Fn() -> Platform) {
     );
 }
 
-#[test]
-fn cacheloop_tg_replay_on_amba_matches_the_oracle() {
-    let workload = Workload::Cacheloop { iterations: 500 };
-    let cores = 2;
+/// Traces `workload` on AMBA and translates every core's trace into an
+/// assembled TG image.
+fn tg_images(workload: Workload, cores: usize) -> Vec<TgImage> {
     let mut traced = workload
         .build_platform(cores, InterconnectChoice::Amba, true)
         .expect("build traced platform");
     assert!(traced.run(MAX).completed);
     let translator = TraceTranslator::new(traced.translator_config(TranslationMode::Reactive));
-    let images: Vec<_> = (0..cores)
+    (0..cores)
         .map(|c| {
             let program = translator
                 .translate(&traced.trace(c).expect("tracing was on"))
                 .expect("translate");
             assemble(&program).expect("assemble")
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn cacheloop_tg_replay_on_amba_matches_the_oracle() {
+    let workload = Workload::Cacheloop { iterations: 500 };
+    let cores = 2;
+    let images = tg_images(workload, cores);
     assert_run_matches_oracle("cacheloop 2P tg amba", || {
         workload
             .build_tg_platform(images.clone(), InterconnectChoice::Amba, true)
@@ -115,4 +122,44 @@ fn synthetic_mesh_traffic_matches_the_oracle() {
         }
         b.build().expect("build synthetic platform")
     });
+}
+
+/// `(ticked_cycles, visited_component_cycles)` of a run to completion.
+fn visits(mut platform: Platform) -> (u64, u64) {
+    let report = platform.run(MAX);
+    assert!(report.completed && report.faults.is_empty());
+    (report.ticked_cycles, report.visited_component_cycles)
+}
+
+#[test]
+fn blocked_readers_sleep_until_their_response() {
+    // MP matrix 4P on AMBA at test scale: a contended bus, so every
+    // master spends most cycles blocked on a read. A reader that hints
+    // from its read's acceptance instead of the response is ticked on
+    // every cycle in between, and the counts below rise back to those
+    // of `a25be87`, which did so: TG replay (9 893, 23 049), CPU run
+    // (8 972, 20 164).
+    let workload = Workload::MpMatrix { n: 8 };
+    let cores = 4;
+    let images = tg_images(workload, cores);
+    let tg = visits(
+        workload
+            .build_tg_platform(images, InterconnectChoice::Amba, false)
+            .expect("build TG platform"),
+    );
+    let cpu = visits(
+        workload
+            .build_platform(cores, InterconnectChoice::Amba, false)
+            .expect("build platform"),
+    );
+    assert_eq!(
+        tg,
+        (8_829, 17_693),
+        "mp_matrix 4P tg amba: (ticked, visited)"
+    );
+    assert_eq!(
+        cpu,
+        (7_492, 14_388),
+        "mp_matrix 4P cpu amba: (ticked, visited)"
+    );
 }
