@@ -32,6 +32,15 @@ if grep -rn 'set_nonblocking' crates/serve/src \
     exit 1
 fi
 
+# The daemon runs a campaign the way the CLI does: one run_campaign on
+# its worker pool, one shared artifact cache. Sharding + merge is the
+# CLI's multi-process feature and must not come back into the daemon.
+echo "==> daemon guard: no shards in server.rs"
+if grep -nE 'merge_shards|shard:' crates/serve/src/server.rs; then
+    echo "ci: the daemon shards campaigns again (see above)" >&2
+    exit 1
+fi
+
 # A blocked master's wake hint names the one event it waits for
 # (`response_visible_at` / `accept_visible_at`, DESIGN §4.9). The
 # removed "earliest of either" accessor woke every reader on its read's
@@ -181,8 +190,9 @@ PYEOF
 # Campaign-service smoke: an ntg-serve daemon on an ephemeral loopback
 # port, a 12-job campaign submitted / watched / fetched through the
 # ntg-sweep client — the fetched canonical file must be byte-identical
-# to a local run of the same spec, and `watch` must have printed one
-# line per event of the job, the last of them `done`. Then the tiered
+# to a local run of the same spec, `watch` must have printed one line
+# per event of the job, the last of them `done`, and the daemon's `cache`
+# event must report as many trace builds as the local cold run. Then the tiered
 # store: a cold run publishes every artifact to the daemon, a warm run
 # from an empty local store rebuilds nothing (the remote counters prove
 # it).
@@ -197,7 +207,8 @@ ADDR=$(cat "$SERVE_SMOKE_DIR/addr")
 SPEC_AXES="--workloads mp_matrix:8,cacheloop:500 --cores 2 --fabrics amba,xpipes \
     --masters cpu,tg,stochastic"
 timeout 300 ./target/release/ntg-sweep $SPEC_AXES --no-store --quiet \
-    --out "$SERVE_SMOKE_DIR/local.jsonl" > /dev/null
+    --out "$SERVE_SMOKE_DIR/local.jsonl" > "$SERVE_SMOKE_DIR/local.txt"
+LOCAL_TRACES=$(sed -n 's/^cache: traces \([0-9]*\) built.*/\1/p' "$SERVE_SMOKE_DIR/local.txt")
 timeout 60 ./target/release/ntg-sweep submit --server "$ADDR" $SPEC_AXES \
     > "$SERVE_SMOKE_DIR/submit.txt"
 JOB=$(sed -n 's/^job \([0-9a-f]*\):.*/\1/p' "$SERVE_SMOKE_DIR/submit.txt")
@@ -209,6 +220,11 @@ python3 -c 'import sys, urllib.request as u
 sys.stdout.buffer.write(u.build_opener(u.ProxyHandler({})).open(sys.argv[1]).read())' \
     "http://$ADDR/jobs/$JOB/events" > "$SERVE_SMOKE_DIR/events.txt"
 [ "$(wc -l < "$SERVE_SMOKE_DIR/watch.txt")" -eq "$(wc -l < "$SERVE_SMOKE_DIR/events.txt")" ]
+SERVED_TRACES=$(python3 -c 'import json, sys
+print(next(e["traces_built"] for e in map(json.loads, open(sys.argv[1])) if e["event"] == "cache"))' \
+    "$SERVE_SMOKE_DIR/events.txt")
+[ -n "$LOCAL_TRACES" ]
+[ "$SERVED_TRACES" = "$LOCAL_TRACES" ]
 timeout 60 ./target/release/ntg-sweep fetch --server "$ADDR" "$JOB" \
     --out "$SERVE_SMOKE_DIR/fetched.jsonl" > /dev/null
 cmp "$SERVE_SMOKE_DIR/fetched.jsonl" "$SERVE_SMOKE_DIR/local.jsonl"

@@ -32,7 +32,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ntg_core::{GapDistribution, StochasticConfig, TgImage};
 use ntg_platform::InterconnectChoice;
@@ -114,7 +114,9 @@ type Slot<V> = Arc<Mutex<Option<Arc<V>>>>;
 
 /// A concurrent build-once map: the first `get_or_build` for a key runs
 /// the builder; concurrent calls for the same key wait and share the
-/// result. Errors are not cached — a later call retries the build.
+/// result. Errors are not cached — a later call retries the build — and
+/// neither are panics: a builder that unwinds leaves its slot poisoned
+/// but empty, and the next caller recovers it and builds again.
 struct OnceMap<K, V> {
     slots: Mutex<HashMap<K, Slot<V>>>,
 }
@@ -136,7 +138,9 @@ impl<K: std::hash::Hash + Eq + Clone, V> OnceMap<K, V> {
             let mut slots = self.slots.lock().expect("cache map poisoned");
             slots.entry(key.clone()).or_default().clone()
         };
-        let mut guard = slot.lock().expect("cache slot poisoned");
+        // A poisoned slot only means a builder panicked; it never stored
+        // anything, so the slot is as empty as after an error.
+        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = guard.as_ref() {
             return Ok((v.clone(), true));
         }
@@ -435,6 +439,27 @@ mod tests {
         assert!(cache.images(&key, || Err("boom".into())).is_err());
         let (_, hit) = cache.images(&key, || Ok(vec![])).unwrap();
         assert!(!hit, "error must not have populated the slot");
+    }
+
+    #[test]
+    fn a_panicking_builder_leaves_the_slot_buildable() {
+        let cache = ArtifactCache::new();
+        let key = (
+            Workload::SpMatrix { n: 4 },
+            1,
+            InterconnectChoice::Amba,
+            7u64,
+        );
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.images(&key, || panic!("simulator bug"))
+        }));
+        assert!(unwound.is_err());
+        let (v, hit) = cache
+            .images(&key, || Ok(vec![]))
+            .expect("the next caller builds instead of failing on the poisoned slot");
+        assert!(v.is_empty());
+        assert!(!hit, "the panic must not have populated the slot");
+        assert!(cache.images(&key, || Err("not called".into())).unwrap().1);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * [`run_campaign`] executes the jobs on a worker pool (each
 //!   simulation stays single-threaded and cycle-deterministic;
 //!   parallelism is across configurations), sharing an
-//!   [`ArtifactCache`] so each (workload, core count) is traced once
-//!   and each translator configuration is translated once per campaign;
+//!   [`ArtifactCache`] so each (workload, core count) is traced once —
+//!   during the CPU reference job of that point when the campaign has
+//!   one — and each translator configuration is translated once per
+//!   campaign;
 //! * results stream to a crash-safe JSONL journal and are finalised
 //!   into a canonical, **byte-reproducible** result file — identical
 //!   across worker-thread counts — plus a non-canonical wall-time
@@ -27,9 +29,9 @@
 //!   levels to disk (`~/.cache/ntg` by default), so *repeat* campaigns
 //!   skip the expensive reference simulations entirely — the
 //!   `disk_hits` counter tier makes that assertable;
-//! * campaigns shard across processes/machines (`RunOptions::shard`);
-//!   [`merge_shards`] reassembles the shard JSONLs into a file
-//!   byte-identical to a single-process run.
+//! * campaigns shard across processes/machines (`RunOptions::shard`,
+//!   the CLI's `--shard`); [`merge_shards`] reassembles the shard
+//!   JSONLs into a file byte-identical to a single-process run.
 //!
 //! The `ntg-sweep` binary is the CLI frontend; the `table2`, `explore`
 //! and ablation binaries in `ntg-bench` are thin presets over the same

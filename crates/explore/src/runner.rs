@@ -13,6 +13,30 @@
 //! that is limited to the work queue (an atomic index), the collected
 //! results and the journal file.
 //!
+//! # One reference run per design point
+//!
+//! The paper collects a point's trace *during* its reference simulation
+//! (§1 step 1): tracing is a small tax on that run, not a second run. So
+//! the CPU job on the campaign's trace fabric, when the campaign also
+//! sweeps TG or stochastic jobs ([`CampaignSpec::produces_trace`]), runs
+//! its first repeat traced inside the trace level's build-once slot. It
+//! keeps that run's report and golden-model verdict as its own result
+//! and publishes the artifact for the point's consumers. When the
+//! artifact already exists (memory, disk or remote) the job runs
+//! untraced; when the run fails the artifact checks (a fault, the cycle
+//! bound) the job still records its own outcome and each consumer
+//! retries the build and reports the failure, exactly as without a
+//! producer.
+//!
+//! # Dispatch order
+//!
+//! Workers take pending jobs trace producers first (a point's consumers
+//! then find its artifact built, or being built, instead of building it
+//! themselves), then by descending core count (the widest platforms run
+//! longest, and a long job started last runs alone), then by id. The
+//! order shows in no output byte: the canonical file is written in id
+//! order and its cache flags are structural.
+//!
 //! # Determinism contract
 //!
 //! The canonical result file is a pure function of the
@@ -36,7 +60,7 @@ use ntg_platform::{MasterReport, Platform, PlatformBuilder, RunReport};
 use ntg_workloads::synthetic::build_synthetic_platform;
 use ntg_workloads::Workload;
 
-use crate::cache::{ArtifactCache, CacheSnapshot, TraceArtifact};
+use crate::cache::{ArtifactCache, CacheSnapshot, TraceArtifact, TraceKey};
 use crate::json::Json;
 use crate::result::{parse_results, CampaignHeader, JobMetrics, JobResult};
 use crate::spec::{CampaignSpec, JobSpec, MasterChoice};
@@ -142,10 +166,11 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOu
             }
         }
     }
-    let pending: Vec<&JobSpec> = jobs
+    let mut pending: Vec<&JobSpec> = jobs
         .iter()
         .filter(|j| done[j.id].is_none() && in_shard(j.id))
         .collect();
+    pending.sort_by_key(|j| (!spec.produces_trace(j), std::cmp::Reverse(j.cores), j.id));
 
     // Open the journal (header first if the file is new/empty).
     let journal = match &opts.out {
@@ -656,11 +681,26 @@ fn run_job_inner(
 ) -> Result<JobResult, String> {
     match job.master {
         MasterChoice::Cpu => {
-            let (report, verified) = run_repeats(job, |_| {
+            let build = |tracing| {
                 job.workload
-                    .build_platform(job.cores, job.interconnect, false)
+                    .build_platform(job.cores, job.interconnect, tracing)
                     .map_err(|e| format!("build: {e}"))
-            })?;
+            };
+            // The point's traced reference run (module docs). An error
+            // out of the slot belongs to the artifact, not to this job:
+            // the run's faults and cycle bound are results, recorded
+            // below, and every consumer retries the build and reports it.
+            let mut first = None;
+            if spec.produces_trace(job) {
+                let _ = cache.traces(&trace_key(job, spec), || {
+                    let mut p = build(true)?;
+                    let run = run_once(job, &mut p);
+                    let artifact = artifact_from_run(job, &p, &run.0);
+                    first = Some(run);
+                    artifact
+                });
+            }
+            let (report, verified) = run_repeats(job, first, |_| build(false))?;
             Ok(finish(job, report, verified, None, None))
         }
         MasterChoice::Tg => {
@@ -691,7 +731,7 @@ fn run_job_inner(
                     })
                     .collect()
             })?;
-            let (report, verified) = run_repeats(job, |_| {
+            let (report, verified) = run_repeats(job, None, |_| {
                 job.workload
                     .build_tg_platform(images.as_ref().clone(), job.interconnect, false)
                     .map_err(|e| format!("build: {e}"))
@@ -706,7 +746,7 @@ fn run_job_inner(
         }
         MasterChoice::Stochastic => {
             let (artifact, trace_hit) = trace_artifact(job, spec, cache)?;
-            let (report, _) = run_repeats(job, |_| {
+            let (report, _) = run_repeats(job, None, |_| {
                 let mut b = PlatformBuilder::new();
                 b.interconnect(job.interconnect);
                 for (core, cfg) in artifact.calibration.iter().enumerate() {
@@ -728,7 +768,7 @@ fn run_job_inner(
             let Workload::Synthetic { packets } = job.workload else {
                 return Err("synthetic masters pair only with the synthetic workload".into());
             };
-            let (report, _) = run_repeats(job, |_| {
+            let (report, _) = run_repeats(job, None, |_| {
                 build_synthetic_platform(
                     job.cores,
                     job.interconnect,
@@ -745,59 +785,88 @@ fn run_job_inner(
     }
 }
 
-/// Gets (or builds) the traced-reference artifact for this job's
-/// (workload, cores) on the campaign's trace interconnect.
+/// The trace level's key for this job's (workload, cores) on the
+/// campaign's trace interconnect.
+fn trace_key(job: &JobSpec, spec: &CampaignSpec) -> TraceKey {
+    (job.workload, job.cores, spec.trace_interconnect)
+}
+
+/// Gets the traced-reference artifact for this job's point, running the
+/// reference itself when no producer has published it.
 fn trace_artifact(
     job: &JobSpec,
     spec: &CampaignSpec,
     cache: &ArtifactCache,
 ) -> Result<(std::sync::Arc<TraceArtifact>, bool), String> {
-    let key = (job.workload, job.cores, spec.trace_interconnect);
-    cache.traces(&key, || {
+    cache.traces(&trace_key(job, spec), || {
         let mut p = job
             .workload
             .build_platform(job.cores, spec.trace_interconnect, true)
             .map_err(|e| format!("trace build: {e}"))?;
         let report = p.run(job.max_cycles);
-        if !report.faults.is_empty() {
-            return Err(format!("trace run faulted: {:?}", report.faults));
-        }
-        if !report.completed {
-            return Err(format!("trace run hit the {}-cycle bound", job.max_cycles));
-        }
-        let ref_cycles = report.execution_time().ok_or("trace run never halted")?;
-        let traces = p.traces();
-        if traces.len() != job.cores {
-            return Err("tracing was not recorded for every core".into());
-        }
-        let pollable = p.map().pollable_ranges();
-        let ranges: Vec<(u32, u32)> = p.map().iter().map(|r| (r.base, r.size)).collect();
-        let calibration = TraceArtifact::calibrate(&traces, p.clock().period_ns(), &ranges)?;
-        Ok(TraceArtifact {
-            traces,
-            pollable,
-            calibration,
-            ref_cycles,
-        })
+        artifact_from_run(job, &p, &report)
     })
 }
 
-/// Builds and runs the job's platform `repeats` times (cycle counts are
-/// deterministic across repeats; wall time takes the minimum), checking
-/// the golden model on the first completed run.
+/// The artifact of a finished traced reference run, after the checks
+/// every collector shares: no fault, inside the cycle bound, halted,
+/// one trace per core.
+fn artifact_from_run(
+    job: &JobSpec,
+    p: &Platform,
+    report: &RunReport,
+) -> Result<TraceArtifact, String> {
+    if !report.faults.is_empty() {
+        return Err(format!("trace run faulted: {:?}", report.faults));
+    }
+    if !report.completed {
+        return Err(format!("trace run hit the {}-cycle bound", job.max_cycles));
+    }
+    let ref_cycles = report.execution_time().ok_or("trace run never halted")?;
+    let traces = p.traces();
+    if traces.len() != job.cores {
+        return Err("tracing was not recorded for every core".into());
+    }
+    let pollable = p.map().pollable_ranges();
+    let ranges: Vec<(u32, u32)> = p.map().iter().map(|r| (r.base, r.size)).collect();
+    let calibration = TraceArtifact::calibrate(&traces, p.clock().period_ns(), &ranges)?;
+    Ok(TraceArtifact {
+        traces,
+        pollable,
+        calibration,
+        ref_cycles,
+    })
+}
+
+/// One run of a built platform with metrics on, and the golden-model
+/// verdict when it completed without a fault.
+fn run_once(job: &JobSpec, p: &mut Platform) -> (RunReport, Option<bool>) {
+    p.enable_metrics();
+    let report = p.run(job.max_cycles);
+    let verified = (report.completed && report.faults.is_empty())
+        .then(|| job.workload.verify(p, job.cores).is_ok());
+    (report, verified)
+}
+
+/// Runs the job's platform `repeats` times (cycle counts are
+/// deterministic across repeats; wall time takes the minimum), keeping
+/// the golden-model verdict of the first. `first`, when given, is that
+/// first repeat, already run by the trace producer.
 fn run_repeats(
     job: &JobSpec,
+    mut first: Option<(RunReport, Option<bool>)>,
     mut build: impl FnMut(usize) -> Result<Platform, String>,
 ) -> Result<(RunReport, Option<bool>), String> {
     let mut verified = None;
     let mut best_wall = f64::INFINITY;
     let mut last = None;
     for i in 0..job.repeats.max(1) {
-        let mut p = build(i)?;
-        p.enable_metrics();
-        let report = p.run(job.max_cycles);
-        if i == 0 && report.completed && report.faults.is_empty() {
-            verified = Some(job.workload.verify(&p, job.cores).is_ok());
+        let (report, verdict) = match first.take() {
+            Some(run) => run,
+            None => run_once(job, &mut build(i)?),
+        };
+        if i == 0 {
+            verified = verdict;
         }
         best_wall = best_wall.min(report.wall_time.as_secs_f64());
         last = Some(report);

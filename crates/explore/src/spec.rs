@@ -231,6 +231,21 @@ impl CampaignSpec {
         jobs
     }
 
+    /// Whether `job` is the traced reference run of its design point: a
+    /// CPU job on the trace fabric of a campaign that also sweeps trace
+    /// consumers (TG or stochastic masters). Such a job collects the
+    /// point's trace during its own first repeat, so the campaign never
+    /// simulates the same reference twice. The runner's dispatch order
+    /// and `ntg-sweep --dry-run` both read this one predicate.
+    pub fn produces_trace(&self, job: &JobSpec) -> bool {
+        job.master == MasterChoice::Cpu
+            && job.interconnect == self.trace_interconnect
+            && self
+                .masters
+                .iter()
+                .any(|m| matches!(m, MasterChoice::Tg | MasterChoice::Stochastic))
+    }
+
     /// A stable fingerprint of everything that defines the campaign's
     /// results: the expanded job list (keys and seeds) plus the global
     /// run parameters. Resuming from a partial result file first checks

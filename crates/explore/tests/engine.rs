@@ -1,11 +1,13 @@
 //! End-to-end campaign engine tests: determinism across worker-thread
-//! counts, exactly-once artifact building, and resume-from-partial.
+//! counts and shards, exactly-once artifact building (each trace inside
+//! its point's CPU reference run), and resume-from-partial.
 
 use std::fs;
+use std::time::Duration;
 
 use ntg_explore::{
     merge_shards, metrics_path, parse_results, partial_path, run_campaign, shard_path,
-    timings_path, CampaignSpec, CoreSelection, Json, MasterChoice, RunOptions,
+    timings_path, CampaignSpec, CoreSelection, DiskStore, Json, MasterChoice, RunOptions,
 };
 use ntg_platform::InterconnectChoice;
 use ntg_workloads::synthetic::{ALL_PATTERNS, ALL_SHAPES};
@@ -106,10 +108,11 @@ fn each_trace_and_translation_happens_exactly_once() {
     )
     .unwrap();
     // 2 workloads × 2 core counts share one trace interconnect → 4
-    // distinct traces; every TG job uses the same translator config →
-    // 4 distinct image sets. 8 TG jobs consume both levels.
+    // distinct traces, each collected by the point's CPU job on AMBA;
+    // every TG job uses the same translator config → 4 distinct image
+    // sets. All 8 TG jobs find their trace built.
     assert_eq!(outcome.cache.trace_misses, 4);
-    assert_eq!(outcome.cache.trace_hits, 4);
+    assert_eq!(outcome.cache.trace_hits, 8);
     assert_eq!(outcome.cache.image_misses, 4);
     assert_eq!(outcome.cache.image_hits, 4);
     // The per-result flags agree with the counters.
@@ -276,9 +279,10 @@ fn stochastic_jobs_share_the_reference_trace() {
     ];
     let outcome = run_campaign(&spec, &RunOptions::default()).unwrap();
     assert_eq!(outcome.results.len(), 3);
-    // One trace build serves both the TG and the stochastic job.
+    // The CPU job's run is the one trace build; it serves both the TG
+    // and the stochastic job.
     assert_eq!(outcome.cache.trace_misses, 1);
-    assert_eq!(outcome.cache.trace_hits, 1);
+    assert_eq!(outcome.cache.trace_hits, 2);
     let stoch = outcome
         .results
         .iter()
@@ -409,20 +413,18 @@ fn canonical_file_parses_back_and_is_sorted_by_id() {
     }
 }
 
-/// The three execution modes — one worker, four in-process workers
+/// The three execution modes — one worker, several in-process workers
 /// (Send platforms sharing one in-memory cache and one open store
 /// handle), and two shard processes merged back — must all produce the
 /// same canonical bytes, and the metrics sidecars must agree line for
 /// line.
-#[test]
-fn threads_and_shards_agree_on_canonical_and_metrics_bytes() {
-    let spec = small_spec();
-    let store = std::env::temp_dir().join("ntg-explore-tests/identity-store");
+fn assert_threads_and_shards_agree(spec: &CampaignSpec, tag: &str) {
+    let store = std::env::temp_dir().join(format!("ntg-explore-tests/{tag}-store"));
     let _ = fs::remove_dir_all(&store);
 
     let run = |out: &std::path::Path, threads: usize, shard: Option<(usize, usize)>| {
         run_campaign(
-            &spec,
+            spec,
             &RunOptions {
                 threads,
                 out: Some(out.to_path_buf()),
@@ -434,25 +436,27 @@ fn threads_and_shards_agree_on_canonical_and_metrics_bytes() {
         .unwrap()
     };
 
-    let out1 = tmp_out("identity-t1.jsonl");
-    let out4 = tmp_out("identity-t4.jsonl");
+    let out1 = tmp_out(&format!("{tag}-t1.jsonl"));
     run(&out1, 1, None);
-    run(&out4, 4, None);
     let canonical = fs::read(&out1).unwrap();
     assert!(!canonical.is_empty());
-    assert_eq!(
-        canonical,
-        fs::read(&out4).unwrap(),
-        "canonical bytes must not depend on in-process worker count"
-    );
-    assert_eq!(
-        fs::read(metrics_path(&out1)).unwrap(),
-        fs::read(metrics_path(&out4)).unwrap(),
-        "metrics sidecars must not depend on in-process worker count"
-    );
+    for threads in [2, 4] {
+        let out = tmp_out(&format!("{tag}-t{threads}.jsonl"));
+        run(&out, threads, None);
+        assert_eq!(
+            canonical,
+            fs::read(&out).unwrap(),
+            "canonical bytes must not depend on in-process worker count ({threads})"
+        );
+        assert_eq!(
+            fs::read(metrics_path(&out1)).unwrap(),
+            fs::read(metrics_path(&out)).unwrap(),
+            "metrics sidecars must not depend on in-process worker count ({threads})"
+        );
+    }
 
     // Shard halves through the same store, then merge.
-    let merged = tmp_out("identity-merged.jsonl");
+    let merged = tmp_out(&format!("{tag}-merged.jsonl"));
     let mut shards = Vec::new();
     for i in 1..=2 {
         let out = shard_path(&merged, (i, 2));
@@ -494,4 +498,125 @@ fn threads_and_shards_agree_on_canonical_and_metrics_bytes() {
         body(&metrics_path(&out1)),
         "shard metrics sidecars must union to the unsharded sidecar"
     );
+}
+
+#[test]
+fn threads_and_shards_agree_on_canonical_and_metrics_bytes() {
+    assert_threads_and_shards_agree(&small_spec(), "identity");
+}
+
+/// {CPU, TG, stochastic} × {AMBA, ×pipes} × 2 cores over two test-scale
+/// workloads: 12 jobs on 2 design points, whose CPU jobs on AMBA (the
+/// trace fabric) are their traced reference runs.
+fn reference_spec() -> CampaignSpec {
+    let mut spec = CampaignSpec::new("engine-reference");
+    spec.workloads = vec![
+        Workload::MpMatrix { n: 8 },
+        Workload::Des { blocks_per_core: 2 },
+    ];
+    spec.cores = CoreSelection::List(vec![2]);
+    spec.interconnects = vec![InterconnectChoice::Amba, InterconnectChoice::Xpipes];
+    spec.masters = vec![
+        MasterChoice::Cpu,
+        MasterChoice::Tg,
+        MasterChoice::Stochastic,
+    ];
+    spec
+}
+
+#[test]
+fn reference_campaign_bytes_agree_across_threads_and_shards() {
+    assert_threads_and_shards_agree(&reference_spec(), "reference");
+}
+
+#[test]
+fn the_cpu_jobs_on_the_trace_fabric_build_every_trace() {
+    let spec = reference_spec();
+    let jobs = spec.expand();
+    let producers: Vec<_> = jobs.iter().filter(|j| spec.produces_trace(j)).collect();
+    assert_eq!(producers.len(), 2, "one producer per design point");
+    for j in &producers {
+        assert_eq!(j.master, MasterChoice::Cpu, "{}", j.key());
+        assert_eq!(j.interconnect, spec.trace_interconnect, "{}", j.key());
+    }
+    let consumers = jobs
+        .iter()
+        .filter(|j| matches!(j.master, MasterChoice::Tg | MasterChoice::Stochastic))
+        .count() as u64;
+    assert_eq!(consumers, 8);
+    for threads in [1, 2, 4] {
+        let outcome = run_campaign(
+            &spec,
+            &RunOptions {
+                threads,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+        // One build per point, and every TG and stochastic lookup a hit:
+        // the producers are dispatched first and trace inside their own
+        // run. (Without producers the consumers would record 2 misses and
+        // 6 hits.)
+        assert_eq!(outcome.cache.trace_misses, 2, "{threads} thread(s)");
+        assert_eq!(outcome.cache.trace_hits, consumers, "{threads} thread(s)");
+        for r in &outcome.results {
+            assert!(r.error.is_none(), "{}: {:?}", r.key, r.error);
+            assert!(r.completed, "{}", r.key);
+            assert_ne!(r.verified, Some(false), "{}", r.key);
+        }
+    }
+}
+
+#[test]
+fn a_cpu_only_campaign_writes_no_trace_entry() {
+    let mut spec = reference_spec();
+    spec.masters = vec![MasterChoice::Cpu];
+    assert!(spec.expand().iter().all(|j| !spec.produces_trace(j)));
+    let store = std::env::temp_dir().join("ntg-explore-tests/cpu-only-store");
+    let _ = fs::remove_dir_all(&store);
+    let outcome = run_campaign(
+        &spec,
+        &RunOptions {
+            threads: 2,
+            store: Some(store.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(outcome.results.len(), 4);
+    assert_eq!(
+        (outcome.cache.trace_misses, outcome.cache.trace_hits),
+        (0, 0)
+    );
+    let stats = DiskStore::open(&store).unwrap().stats();
+    assert_eq!(stats.total_entries(), 0, "{stats:?}");
+}
+
+/// Tracing only observes: a traced and an untraced run of the same CPU
+/// platform, metrics on, report the same everything but wall time. This
+/// is what lets a point's CPU job double as its trace run.
+#[test]
+fn tracing_changes_no_report_field() {
+    for (workload, cores) in [
+        (Workload::SpMatrix { n: 6 }, 1),
+        (Workload::Cacheloop { iterations: 500 }, 2),
+        (Workload::MpMatrix { n: 8 }, 4),
+        (Workload::Des { blocks_per_core: 2 }, 3),
+    ] {
+        let run = |tracing| {
+            let mut p = workload
+                .build_platform(cores, InterconnectChoice::Amba, tracing)
+                .unwrap();
+            p.enable_metrics();
+            let mut report = p.run(2_000_000_000);
+            assert!(report.completed, "{workload} {cores}P");
+            assert!(report.metrics.is_some());
+            report.wall_time = Duration::ZERO;
+            (format!("{report:?}"), p.traces().len())
+        };
+        let (traced, traces) = run(true);
+        let (untraced, none) = run(false);
+        assert_eq!((traces, none), (cores, 0), "{workload} {cores}P");
+        assert_eq!(traced, untraced, "{workload} {cores}P");
+    }
 }

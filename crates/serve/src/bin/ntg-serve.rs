@@ -42,8 +42,8 @@ ENDPOINTS:
     GET  /jobs/<id>/events?from=N     NDJSON progress events from index N on; long-poll:
                                       held until event N exists, the job has ended,
                                       or 20 s pass (then an empty 200)
-    GET  /jobs/<id>/results           merged canonical JSONL
-    GET  /jobs/<id>/{timings|metrics} merged sidecars
+    GET  /jobs/<id>/results           canonical JSONL
+    GET  /jobs/<id>/{timings|metrics} timing / metrics sidecars
     GET  /jobs/<id>/report/<view>     markdown|table2|rankings|pareto|saturation
 ";
 

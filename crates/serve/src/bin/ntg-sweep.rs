@@ -95,8 +95,9 @@ OPTIONS:
                          local misses fetch from it, local builds publish to it
     --store-gc BYTES     prune the store to BYTES (least recently used
                          artifacts first) and exit
-    --dry-run            print the expanded job list, shard assignment, and
-                         an estimate of trace/image store reuse, then exit
+    --dry-run            print the expanded job list, shard assignment, an
+                         estimate of trace/image store reuse and the
+                         simulations a cold run executes, then exit
                          (for `store gc`: preview evictions without deleting)
     --quiet              suppress per-job progress on stderr
     -h, --help           this text
@@ -109,7 +110,7 @@ SERVICE COMMANDS:
              (long-polls GET /jobs/<id>/events?from=N: no sleep, about
              one request per event); exits 0 on `done`, non-zero with
              the job's error on `error`
-    fetch    download the merged canonical JSONL (byte-identical to a
+    fetch    download the canonical JSONL (byte-identical to a
              local run of the same spec), a report view (--view
              markdown|table2|rankings|pareto|saturation), and
              optionally the timing/metrics sidecars (--sidecars)
@@ -682,9 +683,10 @@ fn gc_store(base: &PathBuf, budget: u64, dry_run: bool) -> Result<ExitCode, Stri
 }
 
 /// `--dry-run`: the expanded job list, per-job shard assignment (when
-/// `--shard` is given), and how much artifact reuse the cache/store
-/// will see — how many distinct reference traces and TG program images
-/// the campaign actually builds.
+/// `--shard` is given), how much artifact reuse the cache/store will
+/// see — how many distinct reference traces and TG program images the
+/// campaign actually builds — and how many simulations a cold run
+/// executes, how many of them CPU-model runs and traced.
 fn print_dry_run(
     spec: &CampaignSpec,
     jobs: &[ntg_explore::JobSpec],
@@ -759,6 +761,35 @@ fn print_dry_run(
         spec.trace_interconnect,
         image_keys.len()
     );
+
+    // What a cold, unsharded run simulates: every job's repeats, where a
+    // trace producer's first repeat is its point's traced reference run
+    // (the runner's own predicate), plus one extra traced reference run
+    // per consumed trace that no job of the campaign produces.
+    let producers: std::collections::BTreeSet<String> = jobs
+        .iter()
+        .filter(|j| spec.produces_trace(j))
+        .map(|j| format!("{}|{}", j.workload, j.cores))
+        .collect();
+    let extra = trace_keys.difference(&producers).count();
+    let repeats = spec.repeats.max(1);
+    let cpu_jobs = jobs
+        .iter()
+        .filter(|j| j.master == MasterChoice::Cpu)
+        .count();
+    let mut line = format!(
+        "cold run: {} simulation(s), {} CPU-model run(s), {} of them traced",
+        jobs.len() * repeats + extra,
+        cpu_jobs * repeats + extra,
+        producers.len() + extra
+    );
+    if extra > 0 {
+        line.push_str(&format!(
+            " ({extra} as separate reference run(s): no CPU job on {})",
+            spec.trace_interconnect
+        ));
+    }
+    println!("{line}");
 }
 
 /// `ntg-sweep merge --out PATH SHARD_FILE_OR_DIR...` — a directory

@@ -14,9 +14,10 @@
 //!   `DiskStore::with_remote`, making the hierarchy memory → disk →
 //!   network with every failure degrading toward a local rebuild;
 //! * [`server`] — the [`JobServer`]: accepts `CampaignSpec` JSON,
-//!   shards campaigns over a work-stealing worker pool (resume-from-
-//!   journal crash recovery included), publishes NDJSON progress
-//!   events, and serves canonical results plus `ntg-report` views.
+//!   runs each campaign as one `run_campaign` on its worker pool
+//!   (resume-from-journal crash recovery included), publishes NDJSON
+//!   progress events, and serves canonical results plus `ntg-report`
+//!   views.
 //!
 //! Determinism contract: a campaign fetched from the service is
 //! byte-identical to a local `run_campaign` of the same spec, and the

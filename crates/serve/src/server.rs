@@ -1,7 +1,6 @@
 //! The campaign job server: accepts `CampaignSpec`s over HTTP, runs
-//! them as sharded campaigns on a work-stealing worker pool, and
-//! serves artifacts, progress events, canonical results and report
-//! renderings.
+//! each as one campaign on a pool of worker threads, and serves
+//! artifacts, progress events, canonical results and report renderings.
 //!
 //! ## Identity and idempotence
 //!
@@ -9,20 +8,19 @@
 //! value `run_campaign` stamps into result headers. Submitting the
 //! same spec twice therefore lands on the same job: a finished job
 //! answers immediately, a running one is joined, and a job whose
-//! daemon died mid-campaign resumes from its shard journals on
-//! resubmission (the shard runners always set `resume: true`).
+//! daemon died mid-campaign resumes from its campaign journal
+//! (`out.jsonl.partial.jsonl`) on resubmission (the runner always sets
+//! `resume: true`).
 //!
 //! ## Execution
 //!
-//! Each campaign is split into `min(workers, jobs)` round-robin shards
-//! (the existing `RunOptions::shard` machinery); a pool of worker
-//! threads pulls shard indices from a shared counter — work stealing
-//! in its simplest deterministic form: whichever worker frees up takes
-//! the next undone shard. Shard outputs land in the job's directory
-//! and `merge_shards` reassembles the canonical JSONL, byte-identical
-//! to a single-process `run_campaign` of the same spec. Timing and
-//! metrics sidecars are concatenated per shard (they join by job id,
-//! so order is irrelevant) and feed the report endpoints.
+//! A campaign runs exactly as `ntg-sweep --threads <workers>` runs it:
+//! one `run_campaign` call with one shared artifact cache, writing the
+//! canonical JSONL and both sidecars into the job's directory. Its
+//! workers take jobs from one queue in the engine's dispatch order, so
+//! a worker is idle only when no job is left. Sharding
+//! (`ntg-sweep --shard` + `merge`) stays a CLI feature for spreading a
+//! campaign over processes; the daemon never shards.
 //!
 //! ## Progress
 //!
@@ -47,18 +45,21 @@
 //! A watcher therefore loops `from += lines received` until it reads
 //! the terminal event: about one request per event, no sleep on either
 //! side.
+//!
+//! A campaign that runs pushes `queued`, `started` (with `workers`),
+//! `cache` (jobs `executed` and `resumed`, `traces_built`,
+//! `images_built`), then `done`; an infrastructure failure ends it with
+//! `error` instead. A resubmitted job whose canonical file is already
+//! complete pushes `adopted`, then `done`.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ntg_explore::{
-    merge_shards, metrics_path, run_campaign, shard_path, timings_path, CampaignSpec, Json,
-    RemoteTier, RunOptions,
+    metrics_path, run_campaign, timings_path, CampaignSpec, Json, RemoteTier, RunOptions,
 };
 
 use crate::http::{Request, Response, IO_TIMEOUT};
@@ -75,12 +76,12 @@ const _: () = assert!(EVENTS_WAIT.as_secs() + 5 <= IO_TIMEOUT.as_secs());
 pub enum JobState {
     /// Accepted, not yet picked up by the runner.
     Queued,
-    /// Shards executing.
+    /// The campaign executing.
     Running,
-    /// Canonical results merged and served.
+    /// Canonical results written and served.
     Done,
     /// The campaign could not complete (infrastructure failure; the
-    /// message says why). Resubmission retries from the journals.
+    /// message says why). Resubmission retries from the journal.
     Failed(String),
 }
 
@@ -174,7 +175,7 @@ pub struct ServerConfig {
     /// `<data>/jobs/<id>/` each campaign's files, `<data>/cache` the
     /// workers' local disk store (unless overridden).
     pub data: PathBuf,
-    /// Worker threads per campaign (also the shard count cap).
+    /// Worker threads per campaign.
     pub workers: usize,
     /// Workers' local artifact store base; defaults to `<data>/cache`.
     pub store: Option<PathBuf>,
@@ -427,103 +428,47 @@ impl JobServer {
         }
     }
 
-    /// Runs one campaign: shard fan-out on the worker pool, then merge.
+    /// Runs one campaign: one `run_campaign` on `workers` threads,
+    /// resuming from whatever journal an earlier daemon life left.
     fn run_job(self: &Arc<Self>, job: &Arc<Job>) {
         job.set_state(JobState::Running);
-        let shards = self.config.workers.clamp(1, job.jobs.max(1));
+        let workers = self.config.workers.max(1);
         job.push_event(vec![
             ("event".into(), Json::Str("started".into())),
-            ("shards".into(), Json::Int(shards as i64)),
+            ("workers".into(), Json::Int(workers as i64)),
         ]);
         if !self.config.quiet {
             eprintln!(
-                "[job {}] started: {} jobs over {} shard(s)",
-                job.id, job.jobs, shards
+                "[job {}] started: {} jobs on {workers} worker(s)",
+                job.id, job.jobs
             );
         }
-        let out = job.canonical_path();
-        let store_base = self
-            .config
-            .store
-            .clone()
-            .unwrap_or_else(|| self.config.data.join("cache"));
-        let next = AtomicUsize::new(0);
-        let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let totals: Mutex<(u64, u64)> = Mutex::new((0, 0)); // (traces built, images built)
-        std::thread::scope(|scope| {
-            for _ in 0..shards {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= shards {
-                        break;
-                    }
-                    let shard = (i + 1, shards);
-                    job.push_event(vec![
-                        ("event".into(), Json::Str("shard_started".into())),
-                        ("shard".into(), Json::Int(shard.0 as i64)),
-                        ("of".into(), Json::Int(shards as i64)),
-                    ]);
-                    let opts = RunOptions {
-                        threads: 1,
-                        out: Some(shard_path(&out, shard)),
-                        resume: true,
-                        quiet: true,
-                        store: Some(store_base.clone()),
-                        shard: Some(shard),
-                        remote: self.config.remote.clone(),
-                    };
-                    match run_campaign(&job.spec, &opts) {
-                        Ok(outcome) => {
-                            {
-                                let mut t = totals.lock().unwrap();
-                                t.0 += outcome.cache.trace_misses;
-                                t.1 += outcome.cache.image_misses;
-                            }
-                            job.push_event(vec![
-                                ("event".into(), Json::Str("shard_done".into())),
-                                ("shard".into(), Json::Int(shard.0 as i64)),
-                                ("executed".into(), Json::Int(outcome.executed as i64)),
-                                ("resumed".into(), Json::Int(outcome.resumed as i64)),
-                                ("wall_secs".into(), Json::Float(outcome.wall_secs)),
-                                ("cache".into(), Json::Str(outcome.cache.summary_line())),
-                            ]);
-                        }
-                        Err(e) => {
-                            errors.lock().unwrap().push(format!("shard {i}: {e}"));
-                            job.push_event(vec![
-                                ("event".into(), Json::Str("shard_failed".into())),
-                                ("shard".into(), Json::Int(shard.0 as i64)),
-                                ("error".into(), Json::Str(e)),
-                            ]);
-                        }
-                    }
-                });
-            }
-        });
-        let errors = errors.into_inner().unwrap();
-        if !errors.is_empty() {
-            job.finish(Err(errors.join("; ")));
-            return;
-        }
-        let (traces_built, images_built) = *totals.lock().unwrap();
-        job.push_event(vec![
-            ("event".into(), Json::Str("cache".into())),
-            ("traces_built".into(), Json::Int(traces_built as i64)),
-            ("images_built".into(), Json::Int(images_built as i64)),
-        ]);
-        let shard_files: Vec<PathBuf> = (1..=shards)
-            .map(|i| shard_path(&out, (i, shards)))
-            .collect();
-        match merge_shards(&shard_files, &out) {
-            Ok(summary) => {
-                merge_sidecars(&shard_files, &out);
+        let opts = RunOptions {
+            threads: workers,
+            out: Some(job.canonical_path()),
+            resume: true,
+            store: Some(
+                self.config
+                    .store
+                    .clone()
+                    .unwrap_or_else(|| self.config.data.join("cache")),
+            ),
+            remote: self.config.remote.clone(),
+            ..RunOptions::default()
+        };
+        match run_campaign(&job.spec, &opts) {
+            Ok(outcome) => {
+                let count = |n: u64| Json::Int(n as i64);
                 job.push_event(vec![
-                    ("event".into(), Json::Str("merged".into())),
-                    ("jobs".into(), Json::Int(summary.jobs as i64)),
+                    ("event".into(), Json::Str("cache".into())),
+                    ("executed".into(), count(outcome.executed as u64)),
+                    ("resumed".into(), count(outcome.resumed as u64)),
+                    ("traces_built".into(), count(outcome.cache.trace_misses)),
+                    ("images_built".into(), count(outcome.cache.image_misses)),
                 ]);
                 job.finish(Ok(()));
                 if !self.config.quiet {
-                    eprintln!("[job {}] done: {} jobs merged", job.id, summary.jobs);
+                    eprintln!("[job {}] done: {} jobs", job.id, outcome.results.len());
                 }
             }
             Err(e) => job.finish(Err(e)),
@@ -543,32 +488,6 @@ fn canonical_is_complete(job: &Job) -> bool {
                 && loaded.results.len() == loaded.header.jobs
         }
         Err(_) => false,
-    }
-}
-
-/// Concatenates the shards' timing and metrics sidecars next to the
-/// merged canonical file: one header line (they all carry the same
-/// campaign header), then every shard's data lines. Consumers join by
-/// job id, so line order across shards is irrelevant. Best-effort — a
-/// missing sidecar (metrics are opt-in) is skipped silently.
-fn merge_sidecars(shard_files: &[PathBuf], out: &Path) {
-    for derive in [timings_path, metrics_path] {
-        let mut merged = String::new();
-        for shard in shard_files {
-            let Ok(text) = fs::read_to_string(derive(shard)) else {
-                continue;
-            };
-            for (i, line) in text.lines().enumerate() {
-                if i == 0 && !merged.is_empty() {
-                    continue; // header already present
-                }
-                merged.push_str(line);
-                merged.push('\n');
-            }
-        }
-        if !merged.is_empty() {
-            let _ = fs::write(derive(out), merged);
-        }
     }
 }
 

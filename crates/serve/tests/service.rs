@@ -1,7 +1,7 @@
 //! Campaign-service integration tests: a served campaign is
 //! byte-identical to a local run, a warm remote store means zero
 //! rebuilds, resubmission is idempotent across daemon restarts, a
-//! daemon killed mid-campaign resumes from shard journals, remote
+//! daemon killed mid-campaign resumes from its campaign journal, remote
 //! corruption degrades to a local rebuild, and the long-poll events
 //! endpoint carries a watcher (this suite's own `wait_done`, and the
 //! `ntg-sweep watch` binary) to the terminal event without polling.
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ntg_explore::{
-    run_campaign, shard_path, CampaignSpec, CoreSelection, Json, MasterChoice, RunOptions,
+    partial_path, run_campaign, CampaignSpec, CoreSelection, Json, MasterChoice, RunOptions,
 };
 use ntg_platform::InterconnectChoice;
 use ntg_serve::http::{self, Handler, Server};
@@ -175,17 +175,25 @@ fn served_campaign_is_byte_identical_to_a_local_run() {
         "served canonical bytes must match a local run"
     );
 
-    // Progress events cover the whole lifecycle and end with `done`.
+    // Progress events cover the whole lifecycle, in order, and end with
+    // `done`: one campaign on the daemon's two workers, no shards.
     let events = String::from_utf8(get_ok(&daemon.addr, &format!("/jobs/{id}/events"))).unwrap();
-    for needle in ["\"queued\"", "\"started\"", "\"shard_done\"", "\"merged\""] {
-        assert!(events.contains(needle), "missing {needle} in:\n{events}");
-    }
-    assert!(
-        events.trim_end().ends_with(r#""event":"done"}"#),
-        "{events}"
-    );
+    let names: Vec<String> = events
+        .lines()
+        .map(|l| {
+            let v = Json::parse(l).unwrap();
+            v.get("event").and_then(Json::as_str).unwrap().to_string()
+        })
+        .collect();
+    assert_eq!(names, ["queued", "started", "cache", "done"], "{events}");
+    assert!(events.contains(r#""workers":2"#), "{events}");
+    let cache = Json::parse(events.lines().nth(2).unwrap()).unwrap();
+    let field = |name: &str| cache.get(name).and_then(Json::as_u64);
+    assert_eq!(field("executed"), Some(6), "{events}");
+    assert_eq!(field("traces_built"), Some(2), "{events}");
+    assert_eq!(field("images_built"), Some(2), "{events}");
 
-    // The report endpoints render from the merged results + sidecars.
+    // The report endpoints render from the results + sidecars.
     let table2 =
         String::from_utf8(get_ok(&daemon.addr, &format!("/jobs/{id}/report/table2"))).unwrap();
     assert!(table2.contains("mp_matrix"), "{table2}");
@@ -194,7 +202,7 @@ fn served_campaign_is_byte_identical_to_a_local_run() {
     let (status, _) = http::get(&daemon.addr, &format!("/jobs/{id}/report/nonsense")).unwrap();
     assert_eq!(status, 400, "unknown view is a client error");
 
-    // Timing sidecars were merged (one header, one line per job).
+    // The timing sidecar: one header, one line per job.
     let timings = String::from_utf8(get_ok(&daemon.addr, &format!("/jobs/{id}/timings"))).unwrap();
     assert_eq!(timings.lines().count(), 1 + 6, "header + 6 job timings");
 }
@@ -234,36 +242,31 @@ fn resubmit_is_idempotent_and_a_restarted_daemon_adopts_finished_jobs() {
     assert_eq!(get_ok(&daemon.addr, &format!("/jobs/{id2}/results")), first);
 }
 
-/// A daemon killed mid-campaign leaves shard journals behind. The
-/// crash is simulated by pre-seeding the job directory with shard 1's
-/// finished output (the state after a kill between shards): on
-/// resubmission the shard runners run with `resume: true`, replay
-/// shard 1 from its journal without executing, and the merged result
-/// is still byte-identical to the ground truth.
+/// A daemon killed mid-campaign leaves its campaign journal behind.
+/// The crash is simulated by pre-seeding the job directory's journal
+/// (`out.jsonl.partial.jsonl`) with the header and the first half of
+/// the results: on resubmission the runner resumes (`resume: true`),
+/// adopts those three jobs without executing them, runs the other
+/// three, and the result is still byte-identical to the ground truth.
 #[test]
-fn resubmission_resumes_from_shard_journals_after_a_crash() {
+fn resubmission_resumes_from_the_campaign_journal_after_a_crash() {
     let dir = scratch("resume");
     let data = dir.join("data");
     let id = format!("{:016x}", spec().fingerprint());
     let job_dir = data.join("jobs").join(&id);
     fs::create_dir_all(&job_dir).unwrap();
 
-    // Shard 1 of 2, exactly as a 2-worker daemon would have run it.
-    let shard1 = shard_path(&job_dir.join("out.jsonl"), (1, 2));
-    let outcome = run_campaign(
-        &spec(),
-        &RunOptions {
-            threads: 1,
-            out: Some(shard1),
-            resume: true,
-            quiet: true,
-            store: Some(data.join("cache")),
-            shard: Some((1, 2)),
-            ..RunOptions::default()
-        },
+    let truth = local_ground_truth(&dir);
+    let half: Vec<&str> = std::str::from_utf8(&truth)
+        .unwrap()
+        .lines()
+        .take(1 + 3)
+        .collect();
+    fs::write(
+        partial_path(&job_dir.join("out.jsonl")),
+        half.join("\n") + "\n",
     )
     .unwrap();
-    assert_eq!(outcome.executed, 3, "shard 1 ran half the campaign");
 
     let daemon = Daemon::start(&data, 2);
     let (status, id2, _) = submit(&daemon.addr, &spec());
@@ -271,20 +274,23 @@ fn resubmission_resumes_from_shard_journals_after_a_crash() {
     wait_done(&daemon.addr, &id);
 
     let events = String::from_utf8(get_ok(&daemon.addr, &format!("/jobs/{id}/events"))).unwrap();
-    let resumed: i64 = events
+    let cache = events
         .lines()
-        .filter(|l| l.contains("\"shard_done\""))
-        .filter_map(|l| Json::parse(l).ok())
-        .filter_map(|v| v.get("resumed").and_then(Json::as_u64))
-        .map(|n| n as i64)
-        .sum();
-    assert_eq!(resumed, 3, "shard 1's jobs came from the journal: {events}");
+        .find(|l| is_event(l, "cache"))
+        .and_then(|l| Json::parse(l).ok())
+        .unwrap_or_else(|| panic!("no cache event in:\n{events}"));
+    let field = |name: &str| cache.get(name).and_then(Json::as_u64);
+    assert_eq!(
+        (field("resumed"), field("executed")),
+        (Some(3), Some(3)),
+        "half the jobs came from the journal: {events}"
+    );
 
     let served = get_ok(&daemon.addr, &format!("/jobs/{id}/results"));
-    assert_eq!(
-        served,
-        local_ground_truth(&dir),
-        "resumed merge is byte-true"
+    assert_eq!(served, truth, "resumed campaign is byte-true");
+    assert!(
+        !partial_path(&job_dir.join("out.jsonl")).exists(),
+        "the journal is removed once the canonical file is written"
     );
 }
 
