@@ -11,10 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The bench targets and the alloc-count harness are feature-gated; make
-# sure they keep compiling even though default builds skip them.
-echo "==> cargo check: feature-gated bench targets"
-cargo check -p ntg-bench --benches --features external-deps
+# The alloc-count harness is feature-gated; make sure it keeps
+# compiling even though default builds skip it.
+echo "==> cargo check: feature-gated alloc-count harness"
 cargo check -p ntg-bench --tests --features alloc-count
 
 echo "==> tier-1: cargo build --release && cargo test -q"
@@ -50,6 +49,23 @@ if grep -rn 'next_event_at' crates; then
     echo "ci: a wake hint reads the earliest channel event again (see above)" >&2
     exit 1
 fi
+
+# The crossbar arbitrates over the requests that exist: one decode pass
+# per tick, then each lane grants its first requester (DESIGN §4.4).
+# The per-lane scan of every master, re-decoding each request at every
+# probe, must not come back into the kernel.
+echo "==> crossbar guard: no per-lane master scan in crossbar.rs"
+if grep -nE 'reject_unmapped|wants_lane' crates/noc/src/crossbar.rs; then
+    echo "ci: the crossbar scans every master per lane again (see above)" >&2
+    exit 1
+fi
+
+# The two fabric kernels against their test-only references on
+# generated inputs: the crossbar tick against the per-lane scan, the
+# ×pipes switch against the nested scan. Bounded, like the suites below.
+echo "==> fabric kernels: crossbar and switch oracles under a timeout"
+timeout 300 cargo test -q -p ntg-noc --lib decode_pass_matches_the_per_lane_scan_reference
+timeout 300 cargo test -q -p ntg-noc --lib switch_kernel_matches_the_nested_scan_reference
 
 # The hint contract on generated inputs: generated TG programs and
 # stochastic sources on every fabric, complete and capped, against the

@@ -12,8 +12,6 @@
 //! | `ablation_reactivity` | §3 — clone vs timeshift vs reactive accuracy |
 //! | `explore` | §1 motivation — one TG program set, four interconnects |
 //!
-//! The benches under `benches/` (on the in-tree [`minibench`] harness)
-//! measure the same ARM-vs-TG simulation-speed contrast repeatedly.
 //! Speed claims are measured by the repo benchmark (`benchmark/run.sh`),
 //! not here.
 //!
@@ -246,7 +244,7 @@ pub fn paper_workloads() -> Vec<Workload> {
     ]
 }
 
-/// Smaller sizes for quick smoke runs and Criterion benches.
+/// Smaller sizes for quick smoke runs and the engine-equivalence suite.
 pub fn quick_workloads() -> Vec<Workload> {
     vec![
         Workload::SpMatrix { n: 8 },
@@ -261,168 +259,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let v = f();
     (v, start.elapsed())
-}
-
-/// Median of a sample of durations. Empty samples yield zero.
-pub fn median(samples: &mut [Duration]) -> Duration {
-    if samples.is_empty() {
-        return Duration::ZERO;
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Minimal stand-in for the slice of the Criterion API the `benches/`
-/// targets use, so they build (and run) without registry access.
-///
-/// The workspace is offline-first: Criterion cannot be fetched, but the
-/// bench targets should still compile under `--features external-deps`
-/// (CI checks exactly that) and produce usable numbers when run. This
-/// module implements `Criterion::benchmark_group`, group `sample_size` /
-/// `measurement_time` / `bench_function`, and `Bencher::iter` with
-/// median-of-samples reporting — the full surface those files touch. If
-/// the real Criterion is ever restored as a dev-dependency, switching
-/// back is a one-line import change per bench.
-pub mod minibench {
-    use std::time::{Duration, Instant};
-
-    pub use crate::{criterion_group, criterion_main};
-
-    /// Bench context; collects nothing globally, groups do the work.
-    #[derive(Default)]
-    pub struct Criterion;
-
-    impl Criterion {
-        /// Starts a named group of related measurements.
-        pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
-            println!("group {name}");
-            BenchmarkGroup {
-                sample_size: 10,
-                measurement_time: Duration::from_secs(3),
-            }
-        }
-    }
-
-    /// A named set of measurements sharing sampling parameters.
-    pub struct BenchmarkGroup {
-        sample_size: usize,
-        measurement_time: Duration,
-    }
-
-    impl BenchmarkGroup {
-        /// Number of timed samples per benchmark.
-        pub fn sample_size(&mut self, n: usize) -> &mut Self {
-            self.sample_size = n.max(1);
-            self
-        }
-
-        /// Soft cap on total measurement time per benchmark.
-        pub fn measurement_time(&mut self, t: Duration) -> &mut Self {
-            self.measurement_time = t;
-            self
-        }
-
-        /// As [`bench_function`](Self::bench_function), with a borrowed
-        /// input threaded through to the closure.
-        pub fn bench_with_input<I: ?Sized>(
-            &mut self,
-            id: impl std::fmt::Display,
-            input: &I,
-            mut f: impl FnMut(&mut Bencher, &I),
-        ) -> &mut Self {
-            self.bench_function(id, |b| f(b, input))
-        }
-
-        /// Runs one benchmark and prints its median/mean sample time.
-        pub fn bench_function(
-            &mut self,
-            name: impl std::fmt::Display,
-            mut f: impl FnMut(&mut Bencher),
-        ) -> &mut Self {
-            let mut b = Bencher {
-                samples: Vec::with_capacity(self.sample_size),
-            };
-            // One untimed warmup pass, then sample until either the
-            // sample budget or the time budget runs out.
-            f(&mut b);
-            b.samples.clear();
-            let start = Instant::now();
-            while b.samples.len() < self.sample_size && start.elapsed() < self.measurement_time {
-                f(&mut b);
-            }
-            let mean = b.samples.iter().sum::<Duration>() / b.samples.len().max(1) as u32;
-            let med = crate::median(&mut b.samples);
-            println!(
-                "  {name}: median {:>12.6}s  mean {:>12.6}s  ({} samples)",
-                med.as_secs_f64(),
-                mean.as_secs_f64(),
-                b.samples.len(),
-            );
-            self
-        }
-
-        /// Ends the group (parity with Criterion; nothing to flush).
-        pub fn finish(&mut self) {}
-    }
-
-    /// A benchmark identifier combining a function name and a parameter,
-    /// mirroring Criterion's type of the same name.
-    pub struct BenchmarkId(String);
-
-    impl BenchmarkId {
-        /// `name/parameter`.
-        pub fn new(name: &str, parameter: impl std::fmt::Display) -> Self {
-            Self(format!("{name}/{parameter}"))
-        }
-
-        /// Just the parameter (for single-function sweeps).
-        pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-            Self(parameter.to_string())
-        }
-    }
-
-    impl std::fmt::Display for BenchmarkId {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str(&self.0)
-        }
-    }
-
-    /// Passed to the closure under measurement; times `iter` bodies.
-    pub struct Bencher {
-        samples: Vec<Duration>,
-    }
-
-    impl Bencher {
-        /// Times one execution of `f` per call and records the sample.
-        pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
-            let start = Instant::now();
-            let v = f();
-            self.samples.push(start.elapsed());
-            drop(v);
-        }
-    }
-
-    /// Builds a runner function from benchmark functions, mirroring
-    /// Criterion's macro of the same name.
-    #[macro_export]
-    macro_rules! criterion_group {
-        ($name:ident, $($target:path),+ $(,)?) => {
-            fn $name() {
-                let mut c = $crate::minibench::Criterion::default();
-                $( $target(&mut c); )+
-            }
-        };
-    }
-
-    /// Emits `main` for a bench binary, mirroring Criterion's macro.
-    #[macro_export]
-    macro_rules! criterion_main {
-        ($($group:path),+ $(,)?) => {
-            fn main() {
-                $( $group(); )+
-            }
-        };
-    }
 }
 
 /// Heap-allocation accounting via a counting global allocator.

@@ -8,7 +8,7 @@ use ntg_sim::observe::{Contention, LinkMetrics};
 use ntg_sim::stats::Histogram;
 use ntg_sim::{Activity, Component, Cycle};
 
-use crate::{Interconnect, InterconnectKind};
+use crate::{check_slave_ports, Interconnect, InterconnectKind};
 
 /// Bus arbitration policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -90,12 +90,17 @@ impl AmbaBus {
     /// `masters` holds the network-side endpoint of each master link
     /// (index = master id); `slaves` the network-side endpoint of each
     /// slave link (index = [`SlaveId`](ntg_ocp::SlaveId) in the map).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a region of `map` names a slave with no port here.
     pub fn new(
         name: impl Into<String>,
         masters: Vec<SlavePort>,
         slaves: Vec<MasterPort>,
         map: Arc<AddressMap>,
     ) -> Self {
+        check_slave_ports(&map, slaves.len());
         let links = vec![LinkMetrics::default(); masters.len()];
         Self {
             name: name.into(),

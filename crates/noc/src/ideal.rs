@@ -9,7 +9,7 @@ use ntg_sim::observe::{Contention, LinkMetrics};
 use ntg_sim::stats::Histogram;
 use ntg_sim::{Activity, Component, Cycle};
 
-use crate::{Interconnect, InterconnectKind};
+use crate::{check_slave_ports, Interconnect, InterconnectKind};
 
 /// A contention-free interconnect with a fixed one-way latency.
 ///
@@ -49,12 +49,17 @@ impl IdealInterconnect {
     /// Creates an ideal fabric with the default latency.
     ///
     /// Indexing conventions match [`AmbaBus::new`](crate::AmbaBus::new).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a region of `map` names a slave with no port here.
     pub fn new(
         name: impl Into<String>,
         masters: Vec<SlavePort>,
         slaves: Vec<MasterPort>,
         map: Arc<AddressMap>,
     ) -> Self {
+        check_slave_ports(&map, slaves.len());
         let n_slaves = slaves.len();
         let n_masters = masters.len();
         Self {

@@ -45,9 +45,28 @@ pub use crossbar::CrossbarBus;
 pub use ideal::IdealInterconnect;
 pub use xpipes::{XpipesConfig, XpipesNoc};
 
+use ntg_mem::AddressMap;
 use ntg_ocp::{LinkArena, LinkId};
 use ntg_sim::observe::Contention;
 use ntg_sim::Component;
+
+/// Checks, at construction, that every region of `map` names one of a
+/// fabric's `n_slaves` slave ports, so a bad map fails with the
+/// region's name instead of mid-run at an index or in a silent hang.
+///
+/// # Panics
+///
+/// Panics naming the first region whose slave has no port.
+fn check_slave_ports(map: &AddressMap, n_slaves: usize) {
+    for r in map.iter() {
+        assert!(
+            usize::from(r.slave.0) < n_slaves,
+            "region `{}` maps to slave {} but the fabric has {n_slaves} slave ports",
+            r.name,
+            r.slave.0,
+        );
+    }
+}
 
 /// Which interconnect family a model belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,4 +150,72 @@ pub trait Interconnect: Component<LinkArena> + Send {
     /// asserted a request, or a slave accepted/responded. No-op in
     /// dense mode and for models that never go event-driven.
     fn wake_link(&mut self, _link: LinkId) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ntg_mem::RegionKind;
+    use ntg_ocp::{MasterId, MasterPort, SlaveId, SlavePort};
+
+    use super::*;
+
+    /// Deterministic generator for the crate's generated-input tests.
+    pub(crate) struct Xorshift(pub(crate) u64);
+
+    impl Xorshift {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One master link, one slave link, and a map whose second region,
+    /// `m1`, names slave 1, which has no port.
+    fn map_past_the_slave_ports() -> (Vec<SlavePort>, Vec<MasterPort>, Arc<AddressMap>) {
+        let mut map = AddressMap::new();
+        map.add("m0", 0x1000, 0x1000, SlaveId(0), RegionKind::SharedMemory)
+            .unwrap();
+        map.add("m1", 0x2000, 0x1000, SlaveId(1), RegionKind::SharedMemory)
+            .unwrap();
+        let mut links = LinkArena::new();
+        let (_, master) = links.channel("cpu", MasterId(0));
+        let (slave, _) = links.channel("mem", MasterId(0));
+        (vec![master], vec![slave], Arc::new(map))
+    }
+
+    #[test]
+    #[should_panic(expected = "region `m1` maps to slave 1 but the fabric has 1 slave ports")]
+    fn amba_rejects_a_region_without_a_slave_port() {
+        let (masters, slaves, map) = map_past_the_slave_ports();
+        AmbaBus::new("amba", masters, slaves, map);
+    }
+
+    #[test]
+    #[should_panic(expected = "region `m1` maps to slave 1 but the fabric has 1 slave ports")]
+    fn crossbar_rejects_a_region_without_a_slave_port() {
+        let (masters, slaves, map) = map_past_the_slave_ports();
+        CrossbarBus::new("xbar", masters, slaves, map);
+    }
+
+    #[test]
+    #[should_panic(expected = "region `m1` maps to slave 1 but the fabric has 1 slave ports")]
+    fn ideal_rejects_a_region_without_a_slave_port() {
+        let (masters, slaves, map) = map_past_the_slave_ports();
+        IdealInterconnect::new("ideal", masters, slaves, map);
+    }
+
+    #[test]
+    #[should_panic(expected = "region `m1` maps to slave 1 but the fabric has 1 slave ports")]
+    fn xpipes_rejects_a_region_without_a_slave_port() {
+        let (masters, slaves, map) = map_past_the_slave_ports();
+        XpipesNoc::new("mesh", masters, slaves, map, XpipesConfig::auto(1, 1));
+    }
 }

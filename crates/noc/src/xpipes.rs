@@ -10,7 +10,7 @@ use ntg_sim::observe::{Contention, LinkMetrics};
 use ntg_sim::stats::Histogram;
 use ntg_sim::{Activity, Component, Cycle};
 
-use crate::{Interconnect, InterconnectKind};
+use crate::{check_slave_ports, Interconnect, InterconnectKind};
 
 /// Router port indices.
 const NORTH: usize = 0;
@@ -183,6 +183,19 @@ type PacketTable = HashMap<u32, Packet, BuildHasherDefault<PidHasher>>;
 /// `Router::out_owner` of an output no packet holds.
 const NO_OWNER: u8 = u8::MAX;
 
+/// Set bits of every 5-bit mask. Release builds target baseline x86-64,
+/// which has no popcount instruction, so `count_ones` is a bit-twiddling
+/// sequence where this is one load.
+const POPCOUNT5: [u8; 32] = {
+    let mut table = [0; 32];
+    let mut mask = 0;
+    while mask < 32 {
+        table[mask] = (mask as u32).count_ones() as u8;
+        mask += 1;
+    }
+    table
+};
+
 /// One router's control state. Its five input FIFOs are rings of
 /// `input_fifo_flits` slots in the mesh-wide flit slab
 /// ([`XpipesNoc::fifo`]); the router's window of that slab is passed to
@@ -291,20 +304,35 @@ impl Router {
     /// output. The snapshot stays exact while outputs are served: an
     /// input's front only changes when that input is marked `used`, and
     /// used inputs are masked out of every later count and grant.
+    ///
+    /// Only outputs in `visit` — requested by a head or owned by a
+    /// packet — are served, in ascending order, so `used` evolves as in
+    /// a walk over all five. Any other output has no wanters and no
+    /// owner, so serving it would add no conflict and grant nothing.
     fn switch(&mut self, fifo: &[Flit], depth: usize, xy: &[(u16, u16)]) -> u64 {
         let mut want = [0u8; 5];
+        let mut visit = 0u8;
         for inp in 0..5 {
             if let Some(f) = self.front(fifo, depth, inp) {
                 if f.is_head {
-                    want[self.route(xy[usize::from(f.dst)])] |= 1 << inp;
+                    let p = self.route(xy[usize::from(f.dst)]);
+                    want[p] |= 1 << inp;
+                    visit |= 1 << p;
                 }
+            }
+        }
+        for (p, &owner) in self.out_owner.iter().enumerate() {
+            if owner != NO_OWNER {
+                visit |= 1 << p;
             }
         }
         let mut used = 0u8;
         let mut conflicts = 0;
-        for (p, &requests) in want.iter().enumerate() {
-            let heads = u32::from(requests & !used);
-            let wanters = heads.count_ones();
+        while visit != 0 {
+            let p = visit.trailing_zeros() as usize;
+            visit &= visit - 1;
+            let heads = u32::from(want[p] & !used);
+            let wanters = u32::from(POPCOUNT5[heads as usize]);
             if self.out_full & (1 << p) != 0 {
                 conflicts += wanters;
                 continue;
@@ -525,7 +553,8 @@ impl XpipesNoc {
     /// # Panics
     ///
     /// Panics if `cfg` is inconsistent with the number of masters/slaves
-    /// (see [`XpipesConfig`]).
+    /// (see [`XpipesConfig`]), or if a region of `map` names a slave
+    /// with no port here.
     pub fn new(
         name: impl Into<String>,
         masters: Vec<SlavePort>,
@@ -534,6 +563,7 @@ impl XpipesNoc {
         cfg: XpipesConfig,
     ) -> Self {
         cfg.validate(masters.len(), slaves.len());
+        check_slave_ports(&map, slaves.len());
         let mut attach = vec![Attach::None; cfg.nodes()];
         let master_nis: Vec<MasterNi> = masters
             .into_iter()
@@ -1039,6 +1069,7 @@ impl Interconnect for XpipesNoc {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::tests::Xorshift;
     use ntg_mem::{MemoryDevice, RegionKind};
     use ntg_ocp::{MasterId, OcpRequest, OcpStatus, SlaveId};
 
@@ -1376,22 +1407,6 @@ mod tests {
         // The largest mesh that fits is still accepted.
         assert_eq!(XpipesConfig::with_dims(255, 257, 1, 1).nodes(), 65_535);
         assert_eq!(XpipesConfig::auto(65_000, 25).nodes(), 65_025);
-    }
-
-    /// Deterministic generator for the generated-input tests.
-    struct Xorshift(u64);
-
-    impl Xorshift {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
     }
 
     /// The switch stage as it was before request-mask arbitration: per
