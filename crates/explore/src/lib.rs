@@ -33,9 +33,9 @@
 //!   the CLI's `--shard`); [`merge_shards`] reassembles the shard
 //!   JSONLs into a file byte-identical to a single-process run.
 //!
-//! The `ntg-sweep` binary is the CLI frontend; the `table2`, `explore`
-//! and ablation binaries in `ntg-bench` are thin presets over the same
-//! engine.
+//! The `ntg-sweep` binary is the CLI frontend. Its `table2`, `fabrics`
+//! and `ablation` presets are the paper's experiments, and `ntg-report`
+//! renders their result files.
 //!
 //! ```no_run
 //! use ntg_explore::{run_campaign, CampaignSpec, CoreSelection, RunOptions};

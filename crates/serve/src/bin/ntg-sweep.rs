@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use ntg_explore::{
     collect_shard_files, merge_shards, run_campaign, shard_path, CampaignSpec, CoreSelection,
-    DiskStore, Json, MasterChoice, RunOptions,
+    DiskStore, JobResult, Json, MasterChoice, RunOptions,
 };
 use ntg_platform::{InterconnectChoice, ALL_INTERCONNECTS};
 use ntg_serve::{http, normalize_addr, HttpRemote};
@@ -254,13 +254,10 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         "\n{:<44} {:>14} {:>9} {:>9} {:>6}",
         "configuration", "cycles", "err%", "verified", "cache"
     );
-    let mut failures = 0;
+    let failures = outcome.results.iter().filter(|r| job_failed(r)).count();
     for r in &outcome.results {
         let cycles = match (r.error.as_ref(), r.cycles) {
-            (Some(_), _) => {
-                failures += 1;
-                "FAILED".to_string()
-            }
+            (Some(_), _) => "FAILED".to_string(),
             (None, Some(c)) => c.to_string(),
             (None, None) => "bound".to_string(),
         };
@@ -849,6 +846,12 @@ fn parse_shard(s: &str) -> Result<(usize, usize), String> {
     Ok((i, n))
 }
 
+/// A job fails when it errored or when its golden-model check found a
+/// wrong result: either makes the campaign exit non-zero.
+fn job_failed(r: &JobResult) -> bool {
+    r.error.is_some() || r.verified == Some(false)
+}
+
 fn hit_char(hit: bool) -> char {
     if hit {
         'H'
@@ -962,4 +965,32 @@ fn preset(name: &str) -> Result<CampaignSpec, String> {
         other => return Err(format!("unknown preset `{other}` (see --help)")),
     }
     Ok(spec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_error_or_a_golden_mismatch_fails_the_job() {
+        let line = r#"{"id":0,"key":"sp_matrix:8|1P|amba|cpu|-","workload":"sp_matrix:8","cores":1,"interconnect":"amba","master":"cpu","mode":null,"seed":"72ac79c23e7fe498","completed":true,"cycles":10011,"sim_cycles":10015,"transactions":259,"latency_mean":4.764478764478764,"latency_max":7,"offered_rate":null,"accepted_rate":null,"verified":true,"error_pct":null,"trace_cache_hit":null,"image_cache_hit":null,"error":null}"#;
+        let ok = JobResult::parse_line(line).expect("canonical line parses");
+        assert!(!job_failed(&ok));
+        let unchecked = JobResult {
+            verified: None,
+            ..ok.clone()
+        };
+        assert!(!job_failed(&unchecked));
+        let mismatch = JobResult {
+            verified: Some(false),
+            ..ok.clone()
+        };
+        assert!(job_failed(&mismatch));
+        let errored = JobResult {
+            error: Some("build failed".into()),
+            verified: None,
+            ..ok
+        };
+        assert!(job_failed(&errored));
+    }
 }

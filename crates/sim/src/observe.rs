@@ -3,7 +3,7 @@
 //! The contract is *counters only on the steady path*: every type in
 //! this module allocates at construction time and never again, so the
 //! zero-allocation hot-path guarantee (see the `alloc_count` regression
-//! test in `ntg-bench`) holds with metrics collection on as well as off.
+//! test in `ntg-workloads`) holds with metrics collection on as well as off.
 
 use crate::stats::Histogram;
 use crate::Cycle;

@@ -20,18 +20,90 @@
 //! assembly cancel out, and any difference can only come from per-cycle
 //! allocations in the extra 300k scheduled cycles.
 //!
-//! The counting allocator is global, so a test allocating concurrently
-//! would poison a neighbour's diff: run this binary with
-//! `--test-threads=1` (CI does). Runs only under
-//! `--features alloc-count`; without the feature the file compiles to
-//! nothing.
+//! This file installs its own counting global allocator. The counters
+//! are per thread, and a platform runs on one thread, so each test
+//! measures only its own platform and the binary runs at the harness's
+//! default parallelism.
 
-#![cfg(feature = "alloc-count")]
+mod common;
 
-use ntg_bench::{alloc_count, trace_and_translate};
+use common::trace_and_translate;
 use ntg_platform::InterconnectChoice;
 use ntg_workloads::synthetic::{build_synthetic_platform, SyntheticSpec};
 use ntg_workloads::Workload;
+
+/// Heap-allocation accounting for the calling thread.
+mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    // `const`-initialised and without a destructor, so touching them
+    // never allocates and never re-enters the allocator.
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        static BYTES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count(bytes: usize) {
+        // `try_with` fails only during thread teardown; those
+        // allocations belong to no measurement.
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    }
+
+    /// Forwards to [`System`], counting every allocation.
+    ///
+    /// `dealloc` is deliberately not counted: the tests assert on
+    /// *allocations performed*, and frees of warmup-era buffers would
+    /// otherwise mask fresh churn.
+    struct CountingAlloc;
+
+    // SAFETY: every method forwards verbatim to `System`; the only
+    // additions are thread-local counter updates, which do not allocate
+    // and cannot violate the GlobalAlloc contract.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            // SAFETY: the caller's `alloc` guarantees are `System`'s.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count(new_size);
+            // SAFETY: as `dealloc`, plus the caller's `new_size` guarantees.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTER: CountingAlloc = CountingAlloc;
+
+    /// Heap allocations performed by this thread so far.
+    pub fn allocations() -> u64 {
+        ALLOCS.with(Cell::get)
+    }
+
+    /// Bytes this thread has requested from the allocator so far.
+    pub fn bytes() -> u64 {
+        BYTES.with(Cell::get)
+    }
+}
+
+#[test]
+fn the_counter_sees_one_allocation() {
+    // Canary: a counter stuck at zero would pass every other test here.
+    let allocs_before = alloc_count::allocations();
+    let bytes_before = alloc_count::bytes();
+    let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(16));
+    assert_eq!(alloc_count::allocations() - allocs_before, 1);
+    assert_eq!(alloc_count::bytes() - bytes_before, 128);
+    drop(v);
+}
 
 #[test]
 fn steady_state_ticks_do_not_allocate() {
@@ -133,10 +205,10 @@ fn synthetic_steady_state_ticks_do_not_allocate() {
 fn two_platforms_on_two_threads_stay_allocation_free() {
     // The arena data plane makes a platform a plain `Send` value, so
     // campaign workers run whole platforms on worker threads. The
-    // zero-steady-state-allocation property must hold there too — and
-    // concurrently, since the counting allocator is global: any
-    // per-cycle allocation on either thread shows up in the shared
-    // counters. Both platforms warm up first (queue growth, lazy sync
+    // zero-steady-state-allocation property must hold there too, with
+    // both running at once: each worker reads its own thread's counters,
+    // so a per-cycle allocation on either thread fails that thread's
+    // check. Both platforms warm up first (queue growth, lazy sync
     // primitives, thread bookkeeping) before the measured window opens.
     let workload = Workload::Cacheloop { iterations: 5_000 };
     let cores = 2;

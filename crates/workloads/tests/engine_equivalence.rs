@@ -2,7 +2,7 @@
 //! `skip` catch-up and whole-platform jumps — must report exactly what
 //! the dense reference reports: `Platform::step`, every component on
 //! every cycle, one cycle per call so cores never run ahead
-//! ([`ntg_bench::run_oracle`]). Every number a run leaves behind is
+//! (`common::run_oracle`). Every number a run leaves behind is
 //! compared — cycles, per-master halt cycles and statistics, faults,
 //! transactions, latency, the metrics summary (window structure
 //! included) and the recorded `.trc` streams — with metrics and tracing
@@ -25,7 +25,9 @@
 //! run to completion and cut at a random cycle. A failure names the
 //! seed and case that reproduce it.
 
-use ntg_bench::{quick_workloads, run_oracle, trace_and_translate, MAX_CYCLES};
+mod common;
+
+use common::{quick_workloads, run_oracle, trace_and_translate, MAX_CYCLES};
 use ntg_core::{
     assemble, GapDistribution, StochasticConfig, TgCond, TgImage, TgProgram, TgReg, TgSymInstr,
     RDREG,

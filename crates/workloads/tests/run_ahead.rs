@@ -6,7 +6,9 @@
 //! landed; `ntg-cpu`'s own differential suite diffs the two cores
 //! instruction by instruction.
 
-use ntg_bench::run_oracle;
+mod common;
+
+use common::run_oracle;
 use ntg_cpu::Asm;
 use ntg_platform::{
     mem_map, InterconnectChoice, MasterReport, Platform, PlatformBuilder, RunReport,

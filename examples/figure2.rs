@@ -8,7 +8,7 @@
 //! * (b) two masters racing for one hardware semaphore: M1 locks it, M2
 //!   polls and fails until M1's unlocking write, then succeeds.
 //!
-//! Usage: `cargo run -p ntg-bench --bin figure2 [-- OUT_DIR]`
+//! Run with: `cargo run --release --example figure2 [-- OUT_DIR]`
 //!
 //! Writes `figure2a.trace.json` and `figure2b.trace.json` (to `OUT_DIR`,
 //! default the current directory); open them in `chrome://tracing` or
@@ -16,10 +16,11 @@
 
 use std::path::{Path, PathBuf};
 
-use ntg_cpu::isa::{R1, R2, R3, R4};
-use ntg_cpu::Asm;
-use ntg_platform::{mem_map, InterconnectChoice, PlatformBuilder};
-use ntg_trace::{chrome_trace_json, MasterTrace};
+use ntg::cpu::isa::{R0, R1, R2, R3, R4};
+use ntg::cpu::Asm;
+use ntg::ocp::OcpCmd;
+use ntg::platform::{mem_map, InterconnectChoice, PlatformBuilder};
+use ntg::trace::{chrome_trace_json, MasterTrace};
 
 fn export(out_dir: &Path, name: &str, title: &str, traces: &[MasterTrace]) {
     let json = chrome_trace_json(traces).expect("well-formed traces");
@@ -49,7 +50,7 @@ fn private_slave_pattern(out_dir: &Path) {
     a.li(R4, 20);
     a.label("gap");
     a.addi(R4, R4, -1);
-    a.bne(R4, ntg_cpu::isa::R0, "gap");
+    a.bne(R4, R0, "gap");
     a.stw(R1, R2, 4); // WR …
     a.ldw(R3, R2, 8); // … RD right behind it: stalls at the slave
     a.halt();
@@ -77,7 +78,7 @@ fn semaphore_contention_pattern(out_dir: &Path) {
         a.li(R4, start_delay.max(1));
         a.label("delay");
         a.addi(R4, R4, -1);
-        a.bne(R4, ntg_cpu::isa::R0, "delay");
+        a.bne(R4, R0, "delay");
         a.li(R2, sem);
         a.li(R1, 1);
         a.label("acq");
@@ -87,7 +88,7 @@ fn semaphore_contention_pattern(out_dir: &Path) {
         a.li(R4, hold_cycles.max(1));
         a.label("hold");
         a.addi(R4, R4, -1);
-        a.bne(R4, ntg_cpu::isa::R0, "hold");
+        a.bne(R4, R0, "hold");
         a.stw(R1, R2, 0); // unlock (WR 1)
         a.halt();
         a.assemble(mem_map::private_base(core)).unwrap()
@@ -104,7 +105,7 @@ fn semaphore_contention_pattern(out_dir: &Path) {
         .transactions()
         .unwrap()
         .iter()
-        .filter(|t| t.addr == sem && t.cmd == ntg_ocp::OcpCmd::Read)
+        .filter(|t| t.addr == sem && t.cmd == OcpCmd::Read)
         .count();
     export(
         out_dir,

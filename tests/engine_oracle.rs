@@ -3,7 +3,7 @@
 //! lazy `skip` catch-up, whole-platform jumps) and through the dense
 //! reference — `Platform::step`, every component on every cycle — with
 //! identical cycles, per-master reports, transactions and traces
-//! required. `crates/bench/tests/engine_equivalence.rs` checks the same
+//! required. `crates/workloads/tests/engine_equivalence.rs` checks the same
 //! contract over the full matrix, but the root `cargo test -q` runs only
 //! this package — a lost wake or a wrong catch-up must fail here, and
 //! so must a blocked reader that is ticked instead of sleeping.

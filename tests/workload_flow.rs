@@ -70,7 +70,9 @@ fn every_workload_replays_accurately_on_amba() {
 #[test]
 fn every_workload_translates_identically_across_fabrics() {
     // The paper's validation experiment at test scale, for all four
-    // benchmarks.
+    // benchmarks, on every fabric model. `amba-fixed` is left out: under
+    // static priority the pollers starve the semaphore holder, so MP
+    // matrix and DES livelock and leave no complete trace to translate.
     for (w, cores) in workloads() {
         let programs_on = |fabric: InterconnectChoice| -> Vec<String> {
             let mut p = w.build_platform(cores, fabric, true).expect("build");
@@ -87,8 +89,18 @@ fn every_workload_translates_identically_across_fabrics() {
                 .collect()
         };
         let amba = programs_on(InterconnectChoice::Amba);
-        let xpipes = programs_on(InterconnectChoice::Xpipes);
-        assert_eq!(amba, xpipes, "{}: .tgp differs across fabrics", w.name());
+        for fabric in [
+            InterconnectChoice::Crossbar,
+            InterconnectChoice::Xpipes,
+            InterconnectChoice::Ideal,
+        ] {
+            assert_eq!(
+                programs_on(fabric),
+                amba,
+                "{}: .tgp differs between amba and {fabric}",
+                w.name()
+            );
+        }
     }
 }
 
