@@ -87,6 +87,12 @@ cargo test --workspace -q
 echo "==> ntg-cpu differential suite (long, release)"
 timeout 300 cargo test --release -q -p ntg-cpu --lib -- --ignored
 
+# The same differential on programs aimed at the cache memos: loops over
+# two memoised lines on 2-set caches, refills that evict a memoised line
+# mid-loop, stores into the memoised data line (DESIGN §4.19).
+echo "==> ntg-cpu differential suite (memoised lines, release)"
+timeout 300 cargo test --release -q -p ntg-cpu --lib cpu_core_matches_the_reference_on_memoised_lines
+
 # Every paper artifact has one path: an ntg-sweep preset plus an
 # ntg-report view, an example, or a test. The crate of hand-written
 # experiment binaries that duplicated them must not come back.

@@ -102,9 +102,102 @@ pub struct CacheStats {
 
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    valid: bool,
+    /// `addr >> tag_shift` of the line held; [`Line::INVALID`] for none.
     tag: u32,
     last_used: u64,
+}
+
+impl Line {
+    /// The tag of an empty way: a tag is at most 30 bits wide.
+    const INVALID: u32 = u32::MAX;
+
+    fn valid(&self) -> bool {
+        self.tag != Line::INVALID
+    }
+}
+
+/// How many lines a cache memoises. The memo is direct-mapped on the
+/// line number, so a loop body over up to this many consecutive lines —
+/// Cacheloop's crosses one line boundary, MP matrix's inner loop spans
+/// four lines — runs entirely through it.
+const MEMO_SLOTS: usize = 4;
+
+/// A line [`Cache::search`] memoised in slot `key % MEMO_SLOTS`, so that
+/// [`Cache::probe`] finds its words with one compare and
+/// [`Cache::touch`] stamps the memo instead of the line. The line's LRU
+/// stamp is the later of its own `last_used` and the memo's, written
+/// back to the line before anything reads it (an install) and whenever
+/// the memo is replaced.
+#[derive(Debug, Clone, Copy)]
+struct Memo {
+    /// `addr >> line_shift` of the line; `u32::MAX`, which no address
+    /// shifts to, when the slot is empty.
+    key: u32,
+    /// Index of the line in `lines`.
+    line: usize,
+    /// Clock of the line's last hit through this memo.
+    last_used: u64,
+}
+
+impl Memo {
+    const EMPTY: Memo = Memo {
+        key: u32::MAX,
+        line: 0,
+        last_used: 0,
+    };
+}
+
+/// A present word [`Cache::probe`] or [`Cache::search`] found: its index
+/// into the word slab, and the memo slot it was found through
+/// (`MEMO_SLOTS` when it has none). Finding a word commits nothing;
+/// [`Cache::touch`] does once the access is known to happen.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    pub(crate) index: usize,
+    slot: usize,
+}
+
+/// Consecutive reads of one memoised line, committed together: while the
+/// reads stay on the line, [`word`](Run::word) finds each with one
+/// compare against values the caller holds, and [`Cache::commit`]
+/// leaves the cache as if each had been [`touch`](Cache::touch)ed. The
+/// cache must see no other access between a read and its commit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    /// The line's key; `u32::MAX`, which no address shifts to, for no
+    /// line or an unmemoised one, whose run ends after its first read.
+    key: u32,
+    line_shift: u32,
+    word_mask: usize,
+    /// Slab index of the line's first word.
+    first: usize,
+    slot: usize,
+    hits: u64,
+}
+
+impl Run {
+    /// A run over no line.
+    pub(crate) const EMPTY: Run = Run {
+        key: u32::MAX,
+        line_shift: 2,
+        word_mask: 0,
+        first: 0,
+        slot: MEMO_SLOTS,
+        hits: 0,
+    };
+
+    /// The slab index of the word at `addr` if it lies on the run's line.
+    #[inline]
+    pub(crate) fn word(&self, addr: u32) -> Option<usize> {
+        (addr >> self.line_shift == self.key)
+            .then_some(self.first | ((addr >> 2) as usize & self.word_mask))
+    }
+
+    /// Counts one more read of the line.
+    #[inline]
+    pub(crate) fn hit(&mut self) {
+        self.hits += 1;
+    }
 }
 
 /// A set-associative write-through cache.
@@ -133,6 +226,10 @@ pub struct Cache {
     /// Every line's words in one slab: line `i` owns
     /// `words[i << word_shift ..][..words_per_line]`.
     words: Vec<u32>,
+    memo: [Memo; MEMO_SLOTS],
+    /// Ticks once per read hit, write hit and fill, so it also counts
+    /// the read hits: `stats.read_hits` is not kept, [`stats`](Self::stats)
+    /// derives it.
     clock: u64,
     stats: CacheStats,
 }
@@ -146,8 +243,7 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate();
         let line = Line {
-            valid: false,
-            tag: 0,
+            tag: Line::INVALID,
             last_used: 0,
         };
         let lines = (cfg.sets * cfg.ways) as usize;
@@ -159,6 +255,7 @@ impl Cache {
             word_shift: cfg.words_per_line.trailing_zeros(),
             lines: vec![line; lines],
             words: vec![0; lines * cfg.words_per_line as usize],
+            memo: [Memo::EMPTY; MEMO_SLOTS],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -171,7 +268,10 @@ impl Cache {
 
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            read_hits: self.clock - self.stats.write_hits - self.stats.fills,
+            ..self.stats
+        }
     }
 
     /// The line-aligned base address of the line containing `addr`.
@@ -180,7 +280,7 @@ impl Cache {
     }
 
     /// Total number of words the cache stores — the size of the index
-    /// space [`lookup`](Self::lookup) answers in.
+    /// space [`Probe::index`] answers in.
     pub(crate) fn total_words(&self) -> usize {
         self.words.len()
     }
@@ -193,30 +293,114 @@ impl Cache {
         base..base + self.cfg.ways as usize
     }
 
-    /// Finds the word at `addr`: its index into the word slab if the
-    /// line is present. No statistics, no LRU update — the caller
-    /// commits the access with [`hit`](Self::hit) or [`miss`](Self::miss)
-    /// once it knows the access happens.
+    /// The index of `addr`'s word within its line.
     #[inline]
-    pub(crate) fn lookup(&self, addr: u32) -> Option<usize> {
+    fn word_of(&self, addr: u32) -> usize {
+        (addr >> 2) as usize & (self.cfg.words_per_line as usize - 1)
+    }
+
+    /// Finds the word at `addr` by a tag search: its index into the word
+    /// slab if the line is present. No statistics, no LRU update.
+    #[inline]
+    fn lookup(&self, addr: u32) -> Option<usize> {
         let tag = addr >> self.tag_shift;
         let set = self.set_of(addr);
         let base = set.start;
-        let way = self.lines[set]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)?;
-        let word = (addr >> 2) as usize & (self.cfg.words_per_line as usize - 1);
-        Some(((base + way) << self.word_shift) | word)
+        let way = self.lines[set].iter().position(|l| l.tag == tag)?;
+        Some(((base + way) << self.word_shift) | self.word_of(addr))
     }
 
-    /// Commits a read hit on the word [`lookup`](Self::lookup) found:
-    /// counts it, touches the line's LRU state and returns the word.
+    /// The memo slot of the line containing `addr`, and the key it
+    /// holds there if the line is memoised.
     #[inline]
-    pub(crate) fn hit(&mut self, index: usize) -> u32 {
-        self.clock += 1;
-        self.lines[index >> self.word_shift].last_used = self.clock;
-        self.stats.read_hits += 1;
-        self.words[index]
+    fn memo_slot(&self, addr: u32) -> (usize, u32) {
+        let key = addr >> self.line_shift;
+        (key as usize % MEMO_SLOTS, key)
+    }
+
+    /// Finds the word at `addr` if its line is memoised — one compare,
+    /// no statistics, no LRU update.
+    #[inline]
+    pub(crate) fn probe(&self, addr: u32) -> Option<Probe> {
+        let (slot, key) = self.memo_slot(addr);
+        let memo = &self.memo[slot];
+        (memo.key == key).then(|| Probe {
+            index: (memo.line << self.word_shift) | self.word_of(addr),
+            slot,
+        })
+    }
+
+    /// Finds the word at `addr` by a tag search. With `memoise`, a line
+    /// found takes over its memo slot, so that later reads of it
+    /// [`probe`](Self::probe) true; this changes no statistic and no LRU
+    /// order. A caller passes `memoise` only when every address of the
+    /// line may be read through the cache.
+    #[inline]
+    pub(crate) fn search(&mut self, addr: u32, memoise: bool) -> Option<Probe> {
+        let index = self.lookup(addr)?;
+        if !memoise {
+            return Some(Probe {
+                index,
+                slot: MEMO_SLOTS,
+            });
+        }
+        let (slot, key) = self.memo_slot(addr);
+        self.write_back(slot);
+        let line = index >> self.word_shift;
+        self.memo[slot] = Memo {
+            key,
+            line,
+            last_used: self.lines[line].last_used,
+        };
+        Some(Probe { index, slot })
+    }
+
+    /// Commits a read hit on the word a probe found: counts it, stamps
+    /// the memo it came through or else its line, and returns the word.
+    #[inline]
+    pub(crate) fn touch(&mut self, found: Probe) -> u32 {
+        let mut run = self.start_run(found);
+        run.hit();
+        self.commit(&mut run);
+        self.words[found.index]
+    }
+
+    /// Starts a run of reads on the line of the word `found`, which is
+    /// not yet read.
+    #[inline]
+    pub(crate) fn start_run(&self, found: Probe) -> Run {
+        let word_mask = self.cfg.words_per_line as usize - 1;
+        Run {
+            key: self.memo.get(found.slot).map_or(u32::MAX, |memo| memo.key),
+            line_shift: self.line_shift,
+            word_mask,
+            first: found.index & !word_mask,
+            slot: found.slot,
+            hits: 0,
+        }
+    }
+
+    /// Commits the reads `run` counted, leaving the state after one
+    /// [`touch`](Self::touch) per read. The run stays on its line, and
+    /// may count more reads of it until the next install or memoising
+    /// [`search`](Self::search).
+    #[inline]
+    pub(crate) fn commit(&mut self, run: &mut Run) {
+        if run.hits > 0 {
+            self.clock += run.hits;
+            match self.memo.get_mut(run.slot) {
+                Some(memo) => memo.last_used = self.clock,
+                None => self.lines[run.first >> self.word_shift].last_used = self.clock,
+            }
+            run.hits = 0;
+        }
+    }
+
+    /// Folds memo `slot`'s stamp into its line.
+    fn write_back(&mut self, slot: usize) {
+        let memo = self.memo[slot];
+        let line = &mut self.lines[memo.line];
+        line.last_used = line.last_used.max(memo.last_used);
     }
 
     /// Commits a read miss.
@@ -235,8 +419,8 @@ impl Cache {
     ///
     /// Records a read hit or miss and touches the LRU state.
     pub fn read(&mut self, addr: u32) -> Option<u32> {
-        match self.lookup(addr) {
-            Some(index) => Some(self.hit(index)),
+        match self.search(addr, false) {
+            Some(found) => Some(self.touch(found)),
             None => {
                 self.miss();
                 None
@@ -274,7 +458,7 @@ impl Cache {
     }
 
     /// [`fill`](Self::fill), returning the slab index of the installed
-    /// line's first word (the [`lookup`](Self::lookup) index space).
+    /// line's first word (the [`Probe::index`] space).
     pub(crate) fn install(&mut self, line_addr: u32, words: &[u32]) -> usize {
         assert_eq!(
             line_addr,
@@ -286,21 +470,26 @@ impl Cache {
             self.cfg.words_per_line as usize,
             "fill data must be exactly one line"
         );
+        // The victim may be a memoised line: bring every stamp home, then
+        // forget the memos.
+        for slot in 0..MEMO_SLOTS {
+            self.write_back(slot);
+        }
+        self.memo = [Memo::EMPTY; MEMO_SLOTS];
         let set = self.set_of(line_addr);
         // Prefer an invalid way; otherwise evict the least recently used.
         let victim = set
             .clone()
-            .find(|&i| !self.lines[i].valid)
+            .find(|&i| !self.lines[i].valid())
             .unwrap_or_else(|| {
                 set.min_by_key(|&i| self.lines[i].last_used)
                     .expect("sets have at least one way")
             });
-        if self.lines[victim].valid {
+        if self.lines[victim].valid() {
             self.stats.evictions += 1;
         }
         self.clock += 1;
         self.lines[victim] = Line {
-            valid: true,
             tag: line_addr >> self.tag_shift,
             last_used: self.clock,
         };
@@ -313,8 +502,9 @@ impl Cache {
     /// Invalidates every line (does not reset statistics).
     pub fn invalidate_all(&mut self) {
         for l in &mut self.lines {
-            l.valid = false;
+            l.tag = Line::INVALID;
         }
+        self.memo = [Memo::EMPTY; MEMO_SLOTS];
     }
 }
 
@@ -480,5 +670,97 @@ mod tests {
     fn capacity_matches_geometry() {
         assert_eq!(CacheConfig::default_l1().capacity_bytes(), 1024);
         assert_eq!(CacheConfig::tiny().line_bytes(), 16);
+    }
+
+    #[test]
+    fn memoised_reads_keep_lru_and_statistics_exact() {
+        // One cache read the way `CpuCore` reads (memo probe, memoising
+        // search, runs committed in batches), one through `read`, on the
+        // same generated accesses: every read, victim and counter agree.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % u64::from(n)) as u32
+        };
+        for cfg in [
+            CacheConfig::tiny(),
+            CacheConfig {
+                sets: 2,
+                ways: 1,
+                words_per_line: 4,
+            },
+            CacheConfig::default_l1(),
+            CacheConfig {
+                sets: 2,
+                ways: 3,
+                words_per_line: 8,
+            },
+        ] {
+            let (mut memo, mut plain) = (Cache::new(cfg), Cache::new(cfg));
+            let (mut run, mut prev) = (Run::EMPTY, Run::EMPTY);
+            for step in 0..20_000 {
+                // Mostly nearby words, so that runs and memo hits happen.
+                let addr = next(48) * 4;
+                match next(8) {
+                    0 => {
+                        memo.commit(&mut run);
+                        (run, prev) = (Run::EMPTY, Run::EMPTY);
+                        let line = memo.line_addr(addr);
+                        let words: Vec<u32> = (0..cfg.words_per_line).map(|_| step).collect();
+                        memo.fill(line, &words);
+                        plain.fill(line, &words);
+                    }
+                    1 => {
+                        memo.commit(&mut run);
+                        assert_eq!(
+                            memo.write_update(addr, step),
+                            plain.write_update(addr, step)
+                        );
+                    }
+                    _ => {
+                        let index = match run.word(addr) {
+                            Some(index) => Some(index),
+                            None => {
+                                memo.commit(&mut run);
+                                if let Some(index) = prev.word(addr) {
+                                    std::mem::swap(&mut run, &mut prev);
+                                    Some(index)
+                                } else {
+                                    let found = match memo.probe(addr) {
+                                        Some(found) => {
+                                            prev = run;
+                                            Some(found)
+                                        }
+                                        None => {
+                                            prev = Run::EMPTY;
+                                            // Now and then a line that may
+                                            // not be memoised.
+                                            memo.search(addr, next(4) > 0)
+                                        }
+                                    };
+                                    if let Some(found) = found {
+                                        run = memo.start_run(found);
+                                    }
+                                    found.map(|found| found.index)
+                                }
+                            }
+                        };
+                        let word = index.map(|index| {
+                            run.hit();
+                            memo.words[index]
+                        });
+                        if word.is_none() {
+                            memo.miss();
+                        }
+                        assert_eq!(word, plain.read(addr), "{cfg:?} step {step}");
+                    }
+                }
+            }
+            memo.commit(&mut run);
+            assert_eq!(memo.stats(), plain.stats(), "{cfg:?}");
+            assert!(memo.stats().evictions > 0 && memo.stats().read_hits > 0);
+        }
     }
 }

@@ -6,7 +6,7 @@ use ntg_mem::AddressMap;
 use ntg_ocp::{LinkArena, MasterPort, OcpRequest, OcpResponse, OcpStatus};
 use ntg_sim::{Activity, Component, Cycle};
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheStats, Probe, Run};
 use crate::isa::{decode, Instr, Reg};
 
 /// Static configuration of a [`CpuCore`].
@@ -43,10 +43,16 @@ pub(crate) enum State {
     WaitIFetch { line_addr: u32 },
     /// Blocking on an uncached instruction fetch.
     WaitIFetchRaw,
-    /// Blocking on a data-cache line refill that completes a load.
-    WaitDFill { line_addr: u32, rd: Reg, addr: u32 },
-    /// Blocking on an uncached load.
-    WaitLoad { rd: Reg },
+    /// Blocking on a data-cache line refill that completes the load at
+    /// `pc`.
+    WaitDFill {
+        line_addr: u32,
+        rd: Reg,
+        addr: u32,
+        pc: u32,
+    },
+    /// Blocking on the uncached load at `pc`.
+    WaitLoad { rd: Reg, pc: u32 },
     /// Blocking on store acceptance (posted write).
     WaitStore,
     /// `halt` executed.
@@ -111,6 +117,107 @@ impl RegionMemo {
             None => false,
         }
     }
+
+    /// Whether the memoised region holds all of `[start, start + len)`.
+    #[inline]
+    fn holds(&self, start: u32, len: u32) -> bool {
+        self.size
+            .checked_sub(len)
+            .is_some_and(|room| start.wrapping_sub(self.base) <= room)
+    }
+}
+
+/// The register file; writes to `r0` are discarded.
+#[derive(Debug, Clone, Copy)]
+struct Regs([u32; 16]);
+
+impl Regs {
+    /// `r`'s index. A `Reg` is below 16 already; the mask lets the
+    /// compiler see it and drop the bounds check.
+    #[inline(always)]
+    fn index(r: Reg) -> usize {
+        usize::from(r.num() & 15)
+    }
+
+    #[inline(always)]
+    fn get(&self, r: Reg) -> u32 {
+        self.0[Self::index(r)]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, rd: Reg, value: u32) {
+        if rd.num() != 0 {
+            self.0[Self::index(rd)] = value;
+        }
+    }
+
+    /// Executes a register, branch or jump instruction at `pc`; returns
+    /// the next pc.
+    #[inline(always)]
+    fn execute(&mut self, pc: u32, instr: Instr) -> u32 {
+        use Instr::*;
+        let next_pc = pc.wrapping_add(4);
+        let target = |off: i32| next_pc.wrapping_add((off as u32).wrapping_mul(4));
+        match instr {
+            Nop => {}
+            Add(d, s, t) => self.set(d, self.get(s).wrapping_add(self.get(t))),
+            Sub(d, s, t) => self.set(d, self.get(s).wrapping_sub(self.get(t))),
+            And(d, s, t) => self.set(d, self.get(s) & self.get(t)),
+            Or(d, s, t) => self.set(d, self.get(s) | self.get(t)),
+            Xor(d, s, t) => self.set(d, self.get(s) ^ self.get(t)),
+            Sll(d, s, t) => self.set(d, self.get(s) << (self.get(t) & 31)),
+            Srl(d, s, t) => self.set(d, self.get(s) >> (self.get(t) & 31)),
+            Sra(d, s, t) => self.set(d, ((self.get(s) as i32) >> (self.get(t) & 31)) as u32),
+            Mul(d, s, t) => self.set(d, self.get(s).wrapping_mul(self.get(t))),
+            Slt(d, s, t) => self.set(d, ((self.get(s) as i32) < (self.get(t) as i32)) as u32),
+            Sltu(d, s, t) => self.set(d, (self.get(s) < self.get(t)) as u32),
+            Addi(d, s, imm) => self.set(d, self.get(s).wrapping_add(imm as u32)),
+            Andi(d, s, imm) => self.set(d, self.get(s) & (imm as u32)),
+            Ori(d, s, imm) => self.set(d, self.get(s) | (imm as u32)),
+            Xori(d, s, imm) => self.set(d, self.get(s) ^ (imm as u32)),
+            Slli(d, s, sh) => self.set(d, self.get(s) << sh),
+            Srli(d, s, sh) => self.set(d, self.get(s) >> sh),
+            Srai(d, s, sh) => self.set(d, ((self.get(s) as i32) >> sh) as u32),
+            Slti(d, s, imm) => self.set(d, ((self.get(s) as i32) < imm) as u32),
+            Movi(d, imm) => self.set(d, u32::from(imm)),
+            Movhi(d, imm) => {
+                let low = self.get(d) & 0xFFFF;
+                self.set(d, low | (u32::from(imm) << 16));
+            }
+            Branch(cond, rs, rt, off) => {
+                return if cond.eval(self.get(rs), self.get(rt)) {
+                    target(off)
+                } else {
+                    next_pc
+                };
+            }
+            J(off) => return target(off),
+            Jal(off) => {
+                self.set(crate::isa::R15, next_pc);
+                return target(off);
+            }
+            Jr(rs) => return self.get(rs),
+            Halt | Ldw(..) | Stw(..) => unreachable!("the caller executes {instr:?}"),
+        }
+        next_pc
+    }
+}
+
+/// Finds `addr` in `cache` for a read, committing nothing: through the
+/// cache's memos first, else — if `addr` is cacheable — by a tag search.
+/// A memo hit needs no region check because the search memoises a line
+/// only when its whole extent lies in one cacheable region; a line that
+/// straddles a region boundary stays unmemoised.
+#[inline(always)]
+fn find(cache: &mut Cache, region: &mut RegionMemo, map: &AddressMap, addr: u32) -> Option<Probe> {
+    if let Some(found) = cache.probe(addr) {
+        return Some(found);
+    }
+    if !region.is_cacheable(map, addr) {
+        return None;
+    }
+    let memoise = region.holds(cache.line_addr(addr), cache.config().line_bytes());
+    cache.search(addr, memoise)
 }
 
 /// The in-order, single-issue Srisc core.
@@ -142,7 +249,7 @@ pub struct CpuCore {
     name: String,
     port: MasterPort,
     map: Arc<AddressMap>,
-    regs: [u32; 16],
+    regs: Regs,
     pc: u32,
     state: State,
     /// While `Ready`: the cycle of the next instruction. Everything
@@ -176,8 +283,8 @@ impl CpuCore {
         entry: u32,
         sp: u32,
     ) -> Self {
-        let mut regs = [0u32; 16];
-        regs[13] = sp;
+        let mut regs = Regs([0; 16]);
+        regs.0[13] = sp;
         let icache = Cache::new(cfg.icache);
         Self {
             name: name.into(),
@@ -220,7 +327,7 @@ impl CpuCore {
     /// cycles ahead of the last `tick`. Once a run loop returns, the
     /// frontier is the cycle it stopped at.
     pub fn regs(&self) -> [u32; 16] {
-        self.regs
+        self.regs.0
     }
 
     /// The current program counter (of the run-ahead frontier; see
@@ -237,18 +344,6 @@ impl CpuCore {
         s
     }
 
-    #[inline]
-    fn write_reg(&mut self, rd: Reg, value: u32) {
-        if rd.num() != 0 {
-            self.regs[rd.num() as usize] = value;
-        }
-    }
-
-    #[inline]
-    fn reg(&self, r: Reg) -> u32 {
-        self.regs[r.num() as usize]
-    }
-
     fn stop_with_fault(&mut self, now: Cycle, fault: CpuFault) {
         self.fault = Some(fault);
         self.halt_cycle = Some(now);
@@ -256,11 +351,17 @@ impl CpuCore {
     }
 
     /// Takes the response the core is blocked on, if it is visible; an
-    /// error response stops the core.
-    fn take_ok_response(&mut self, now: Cycle, net: &mut LinkArena) -> Option<OcpResponse> {
+    /// error response stops the core with a bus error at `pc`, the
+    /// instruction whose access it answers.
+    fn take_ok_response(
+        &mut self,
+        now: Cycle,
+        net: &mut LinkArena,
+        pc: u32,
+    ) -> Option<OcpResponse> {
         let resp = self.port.take_response(net, now)?;
         if resp.status != OcpStatus::Ok {
-            self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
+            self.stop_with_fault(now, CpuFault::BusError { pc });
             return None;
         }
         Some(resp)
@@ -275,27 +376,29 @@ impl CpuCore {
             State::Ready => None,
             State::Halted => return None,
             State::WaitIFetch { line_addr } => {
-                let resp = self.take_ok_response(now, net)?;
+                let resp = self.take_ok_response(now, net, self.pc)?;
                 let first = self.icache.install(line_addr, &resp.data);
                 for (slot, &word) in self.decoded[first..].iter_mut().zip(resp.data.iter()) {
                     *slot = decode(word).ok();
                 }
                 None
             }
-            State::WaitIFetchRaw => Some(self.take_ok_response(now, net)?.word()),
+            State::WaitIFetchRaw => Some(self.take_ok_response(now, net, self.pc)?.word()),
             State::WaitDFill {
                 line_addr,
                 rd,
                 addr,
+                pc,
             } => {
-                let resp = self.take_ok_response(now, net)?;
+                let resp = self.take_ok_response(now, net, pc)?;
                 self.dcache.fill(line_addr, &resp.data);
-                self.write_reg(rd, resp.data[((addr - line_addr) / 4) as usize]);
+                self.regs
+                    .set(rd, resp.data[((addr - line_addr) / 4) as usize]);
                 None
             }
-            State::WaitLoad { rd } => {
-                let word = self.take_ok_response(now, net)?.word();
-                self.write_reg(rd, word);
+            State::WaitLoad { rd, pc } => {
+                let word = self.take_ok_response(now, net, pc)?.word();
+                self.regs.set(rd, word);
                 None
             }
             State::WaitStore => {
@@ -307,94 +410,77 @@ impl CpuCore {
         Some(raw)
     }
 
-    /// Executes the instruction at `pc` in cycle `at`.
-    ///
-    /// With `OWN_TICK` this is the instruction of the cycle being
-    /// ticked and may do anything: assert a request and block, halt,
-    /// fault. Without, `at` lies ahead of the tick and only a
-    /// core-private instruction may execute — one that needs the
-    /// registers, an icache hit and at most a dcache read hit; anything
-    /// else returns `false` with no state touched, to execute in the
-    /// tick of its own cycle. Returns whether an instruction retired and
-    /// left the core `Ready`.
+    /// Finds the instruction at `pc` in the icache (see [`find`]).
     #[inline(always)]
-    fn step<const OWN_TICK: bool>(
-        &mut self,
-        at: Cycle,
-        net: &mut LinkArena,
-        raw: Option<u32>,
-    ) -> bool {
+    fn fetch(&mut self, pc: u32) -> Option<Probe> {
+        find(&mut self.icache, &mut self.fetch_region, &self.map, pc)
+    }
+
+    /// Finds the word at the aligned `addr` in the dcache (see [`find`]).
+    #[inline(always)]
+    fn find_data(&mut self, addr: u32) -> Option<Probe> {
+        find(&mut self.dcache, &mut self.data_region, &self.map, addr)
+    }
+
+    /// Executes the instruction at `pc` in cycle `at`, the cycle being
+    /// ticked: it may do anything — assert a request and block, halt,
+    /// fault. Returns whether an instruction retired and left the core
+    /// `Ready`, so that a [`burst`](Self::burst) may follow.
+    fn step(&mut self, at: Cycle, net: &mut LinkArena, raw: Option<u32>) -> bool {
         use Instr::*;
         let pc = self.pc;
 
         // Fetch: the word an uncached fetch just delivered, or the
-        // predecoded icache slot (`ihit`, committed on retirement).
-        let (instr, ihit) = match raw {
-            Some(word) if OWN_TICK => match decode(word) {
-                Ok(instr) => (instr, None),
-                Err(e) => {
-                    self.stop_with_fault(at, CpuFault::IllegalInstruction { pc, word: e.word });
-                    return false;
-                }
-            },
-            _ => {
-                if !self.fetch_region.is_cacheable(&self.map, pc) {
-                    if OWN_TICK {
+        // predecoded icache slot.
+        let decoded = match raw {
+            Some(word) => decode(word).map_err(|e| e.word),
+            None => {
+                let Some(found) = self.fetch(pc) else {
+                    if self.fetch_region.is_cacheable(&self.map, pc) {
+                        self.icache.miss();
+                        let line = self.icache.line_addr(pc);
+                        self.refill(net, line, self.icache.config().words_per_line, at);
+                        self.state = State::WaitIFetch { line_addr: line };
+                    } else {
                         self.port.assert_request(net, OcpRequest::read(pc), at);
                         self.stats.bus_reads += 1;
                         self.state = State::WaitIFetchRaw;
                     }
                     return false;
-                }
-                let Some(index) = self.icache.lookup(pc) else {
-                    if OWN_TICK {
-                        self.icache.miss();
-                        let line = self.icache.line_addr(pc);
-                        self.refill(net, line, self.icache.config().words_per_line, at);
-                        self.state = State::WaitIFetch { line_addr: line };
-                    }
-                    return false;
                 };
-                let Some(instr) = self.decoded[index] else {
-                    if OWN_TICK {
-                        let word = self.icache.hit(index);
-                        self.stop_with_fault(at, CpuFault::IllegalInstruction { pc, word });
-                    }
-                    return false;
-                };
-                (instr, Some(index))
+                let word = self.icache.touch(found);
+                self.decoded[found.index].ok_or(word)
             }
         };
+        let instr = match decoded {
+            Ok(instr) => instr,
+            Err(word) => {
+                self.stop_with_fault(at, CpuFault::IllegalInstruction { pc, word });
+                return false;
+            }
+        };
+        self.stats.instructions += 1;
         let next_pc = pc.wrapping_add(4);
-        let target = |off: i32| next_pc.wrapping_add((off as u32).wrapping_mul(4));
 
-        // Loads first: whether one is core-private depends on the
-        // address, and the dcache is looked up exactly once.
-        if let Ldw(rd, rs, imm) = instr {
-            let addr = self.reg(rs).wrapping_add(imm as u32);
-            let aligned = addr.is_multiple_of(4);
-            let cacheable = aligned && self.data_region.is_cacheable(&self.map, addr);
-            let dhit = if cacheable {
-                self.dcache.lookup(addr)
-            } else {
-                None
-            };
-            if !OWN_TICK && dhit.is_none() {
-                return false;
+        match instr {
+            Halt => {
+                self.halt_cycle = Some(at);
+                self.state = State::Halted;
+                false
             }
-            self.retire(ihit);
-            if !aligned {
-                self.stop_with_fault(at, CpuFault::MisalignedAccess { pc, addr });
-                return false;
-            }
-            self.pc = next_pc;
-            return match dhit {
-                Some(index) => {
-                    let word = self.dcache.hit(index);
-                    self.write_reg(rd, word);
-                    true
+            Ldw(rd, rs, imm) => {
+                let addr = self.regs.get(rs).wrapping_add(imm as u32);
+                if !addr.is_multiple_of(4) {
+                    self.stop_with_fault(at, CpuFault::MisalignedAccess { pc, addr });
+                    return false;
                 }
-                None if cacheable => {
+                self.pc = next_pc;
+                if let Some(found) = self.find_data(addr) {
+                    let word = self.dcache.touch(found);
+                    self.regs.set(rd, word);
+                    return true;
+                }
+                if self.data_region.is_cacheable(&self.map, addr) {
                     self.dcache.miss();
                     let line = self.dcache.line_addr(addr);
                     self.refill(net, line, self.dcache.config().words_per_line, at);
@@ -402,65 +488,22 @@ impl CpuCore {
                         line_addr: line,
                         rd,
                         addr,
+                        pc,
                     };
-                    false
-                }
-                None => {
+                } else {
                     self.port.assert_request(net, OcpRequest::read(addr), at);
                     self.stats.bus_reads += 1;
-                    self.state = State::WaitLoad { rd };
-                    false
+                    self.state = State::WaitLoad { rd, pc };
                 }
-            };
-        }
-        if !OWN_TICK && matches!(instr, Halt | Stw(..)) {
-            return false;
-        }
-
-        self.retire(ihit);
-        match instr {
-            Nop => {}
-            Halt => {
-                self.halt_cycle = Some(at);
-                self.state = State::Halted;
-                return false;
+                false
             }
-            Add(d, s, t) => self.write_reg(d, self.reg(s).wrapping_add(self.reg(t))),
-            Sub(d, s, t) => self.write_reg(d, self.reg(s).wrapping_sub(self.reg(t))),
-            And(d, s, t) => self.write_reg(d, self.reg(s) & self.reg(t)),
-            Or(d, s, t) => self.write_reg(d, self.reg(s) | self.reg(t)),
-            Xor(d, s, t) => self.write_reg(d, self.reg(s) ^ self.reg(t)),
-            Sll(d, s, t) => self.write_reg(d, self.reg(s) << (self.reg(t) & 31)),
-            Srl(d, s, t) => self.write_reg(d, self.reg(s) >> (self.reg(t) & 31)),
-            Sra(d, s, t) => {
-                self.write_reg(d, ((self.reg(s) as i32) >> (self.reg(t) & 31)) as u32);
-            }
-            Mul(d, s, t) => self.write_reg(d, self.reg(s).wrapping_mul(self.reg(t))),
-            Slt(d, s, t) => {
-                self.write_reg(d, ((self.reg(s) as i32) < (self.reg(t) as i32)) as u32);
-            }
-            Sltu(d, s, t) => self.write_reg(d, (self.reg(s) < self.reg(t)) as u32),
-            Addi(d, s, imm) => self.write_reg(d, self.reg(s).wrapping_add(imm as u32)),
-            Andi(d, s, imm) => self.write_reg(d, self.reg(s) & (imm as u32)),
-            Ori(d, s, imm) => self.write_reg(d, self.reg(s) | (imm as u32)),
-            Xori(d, s, imm) => self.write_reg(d, self.reg(s) ^ (imm as u32)),
-            Slli(d, s, sh) => self.write_reg(d, self.reg(s) << sh),
-            Srli(d, s, sh) => self.write_reg(d, self.reg(s) >> sh),
-            Srai(d, s, sh) => self.write_reg(d, ((self.reg(s) as i32) >> sh) as u32),
-            Slti(d, s, imm) => self.write_reg(d, ((self.reg(s) as i32) < imm) as u32),
-            Movi(d, imm) => self.write_reg(d, u32::from(imm)),
-            Movhi(d, imm) => {
-                let low = self.reg(d) & 0xFFFF;
-                self.write_reg(d, low | (u32::from(imm) << 16));
-            }
-            Ldw(..) => unreachable!("loads are handled above"),
             Stw(rd, rs, imm) => {
-                let addr = self.reg(rs).wrapping_add(imm as u32);
+                let addr = self.regs.get(rs).wrapping_add(imm as u32);
                 if !addr.is_multiple_of(4) {
                     self.stop_with_fault(at, CpuFault::MisalignedAccess { pc, addr });
                     return false;
                 }
-                let value = self.reg(rd);
+                let value = self.regs.get(rd);
                 if self.data_region.is_cacheable(&self.map, addr) {
                     // Write-through: keep a present line coherent.
                     self.dcache.write_update(addr, value);
@@ -470,32 +513,82 @@ impl CpuCore {
                 self.stats.bus_writes += 1;
                 self.state = State::WaitStore;
                 self.pc = next_pc;
-                return false;
+                false
             }
-            Branch(cond, rs, rt, off) => {
-                self.pc = if cond.eval(self.reg(rs), self.reg(rt)) {
-                    target(off)
-                } else {
-                    next_pc
-                };
-                return true;
-            }
-            J(off) => {
-                self.pc = target(off);
-                return true;
-            }
-            Jal(off) => {
-                self.write_reg(crate::isa::R15, next_pc);
-                self.pc = target(off);
-                return true;
-            }
-            Jr(rs) => {
-                self.pc = self.reg(rs);
-                return true;
+            _ => {
+                self.pc = self.regs.execute(pc, instr);
+                true
             }
         }
-        self.pc = next_pc;
-        true
+    }
+
+    /// Runs ahead from cycle `at`: executes one core-private instruction
+    /// per cycle — one that needs the registers, an icache hit and at
+    /// most a dcache read hit — never reaching `end`. Returns the cycle of
+    /// the first instruction it left, with no state touched, for the tick
+    /// of its own cycle.
+    fn burst(&mut self, mut at: Cycle, end: Cycle) -> Cycle {
+        use Instr::*;
+        let start = at;
+        let mut pc = self.pc;
+        // The icache line being fetched from; nothing but fetches touches
+        // the icache here, so its hits are committed when the burst
+        // leaves the line. The line before it stays at hand, committed:
+        // a loop body across a line boundary alternates between the two.
+        let (mut run, mut prev) = (Run::EMPTY, Run::EMPTY);
+        while at < end {
+            let index = match run.word(pc) {
+                Some(index) => index,
+                None => {
+                    self.icache.commit(&mut run);
+                    if let Some(index) = prev.word(pc) {
+                        std::mem::swap(&mut run, &mut prev);
+                        index
+                    } else {
+                        let found = match self.icache.probe(pc) {
+                            Some(found) => {
+                                prev = run;
+                                found
+                            }
+                            None => {
+                                // The search may re-memoise either line's
+                                // slot.
+                                prev = Run::EMPTY;
+                                let Some(found) = self.fetch(pc) else { break };
+                                found
+                            }
+                        };
+                        run = self.icache.start_run(found);
+                        found.index
+                    }
+                }
+            };
+            let Some(instr) = self.decoded[index] else {
+                break;
+            };
+            pc = match instr {
+                Ldw(rd, rs, imm) => {
+                    let addr = self.regs.get(rs).wrapping_add(imm as u32);
+                    if !addr.is_multiple_of(4) {
+                        break;
+                    }
+                    let Some(data) = self.find_data(addr) else {
+                        break;
+                    };
+                    let word = self.dcache.touch(data);
+                    self.regs.set(rd, word);
+                    pc.wrapping_add(4)
+                }
+                Halt | Stw(..) => break,
+                _ => self.regs.execute(pc, instr),
+            };
+            run.hit();
+            at += 1;
+        }
+        self.icache.commit(&mut run);
+        self.pc = pc;
+        self.stats.instructions += at - start;
+        at
     }
 
     /// The work of one `tick`: the instruction of cycle `now`, then the
@@ -505,24 +598,13 @@ impl CpuCore {
             return;
         };
         let mut at = now + 1;
-        if self.step::<true>(now, net, raw) {
+        if self.step(now, net, raw) {
             // Run ahead: one cycle per core-private instruction, never
             // into the cycle the run stops at.
             let end = net.run_end().min(at.saturating_add(BURST_CEILING));
-            while at < end && self.step::<false>(at, net, None) {
-                at += 1;
-            }
+            at = self.burst(at, end);
         }
         self.resume_at = at;
-    }
-
-    /// Counts one retired instruction and commits its icache hit.
-    #[inline]
-    fn retire(&mut self, ihit: Option<usize>) {
-        if let Some(index) = ihit {
-            self.icache.hit(index);
-        }
-        self.stats.instructions += 1;
     }
 
     /// Issues the burst read that refills the line at `line`.
@@ -593,6 +675,12 @@ mod tests {
     /// CPU wired straight into one memory device covering both a
     /// cacheable private region and an uncached shared region.
     fn system(asm: &Asm) -> (LinkArena, CpuCore, MemoryDevice) {
+        system_with_memory(asm, 0x20_0000)
+    }
+
+    /// [`system`] with a memory device of `mem_bytes`: accesses past it
+    /// receive error responses.
+    fn system_with_memory(asm: &Asm, mem_bytes: u32) -> (LinkArena, CpuCore, MemoryDevice) {
         let mut map = AddressMap::new();
         map.add(
             "priv",
@@ -612,7 +700,7 @@ mod tests {
         .unwrap();
         let mut net = LinkArena::new();
         let (mport, sport) = net.channel("cpu0", MasterId(0));
-        let mut mem = MemoryDevice::new("ram", 0, 0x20_0000, sport);
+        let mut mem = MemoryDevice::new("ram", 0, mem_bytes, sport);
         let program = asm.assemble(PRIV).unwrap();
         mem.load_words(program.entry(), program.words());
         let cpu = CpuCore::new(
@@ -782,6 +870,82 @@ mod tests {
             cpu.fault(),
             Some(CpuFault::MisalignedAccess { addr: 0x8002, .. })
         ));
+    }
+
+    /// Runs until the core halts; returns its fault.
+    fn run_to_fault(asm: &Asm, mem_bytes: u32) -> Option<CpuFault> {
+        let (mut net, mut cpu, mut mem) = system_with_memory(asm, mem_bytes);
+        for now in 0..1000 {
+            cpu.tick(now, &mut net);
+            mem.tick(now, &mut net);
+            if cpu.halted() {
+                return cpu.fault();
+            }
+        }
+        panic!("core did not halt (pc={:#x})", cpu.pc());
+    }
+
+    #[test]
+    fn a_bus_error_on_a_load_names_the_load() {
+        // Memory ends at 512 KiB: a cached load above it errors on the
+        // line refill, an uncached one on the single read. Either way the
+        // fault names the `ldw` (at 0x8, after the two-word `li`), not
+        // the instruction after it.
+        for addr in [PRIV + 0xC_0000, SHARED] {
+            let mut a = Asm::new();
+            a.li(R2, addr);
+            a.ldw(R1, R2, 0);
+            a.halt();
+            assert_eq!(
+                run_to_fault(&a, 0x8_0000),
+                Some(CpuFault::BusError { pc: 0x8 }),
+                "load from {addr:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_line_across_a_region_boundary_is_not_read_past_it() {
+        // The cacheable region ends one word into a line: after a cached
+        // load fills that line, the next word (uncacheable) still goes to
+        // the bus, every time.
+        let mut map = AddressMap::new();
+        map.add(
+            "priv",
+            PRIV,
+            0x8004,
+            ntg_ocp::SlaveId(0),
+            RegionKind::PrivateMemory,
+        )
+        .unwrap();
+        map.add(
+            "shared",
+            PRIV + 0x8004,
+            0x1000,
+            ntg_ocp::SlaveId(0),
+            RegionKind::SharedMemory,
+        )
+        .unwrap();
+        let mut a = Asm::new();
+        a.li(R2, PRIV + 0x8000);
+        a.ldw(R1, R2, 0);
+        a.ldw(R3, R2, 4);
+        a.ldw(R1, R2, 0);
+        a.ldw(R3, R2, 4);
+        a.halt();
+        let mut net = LinkArena::new();
+        let (mport, sport) = net.channel("cpu0", MasterId(0));
+        let mut mem = MemoryDevice::new("ram", 0, 0x10_0000, sport);
+        let program = a.assemble(PRIV).unwrap();
+        mem.load_words(program.entry(), program.words());
+        mem.poke(PRIV + 0x8004, 77);
+        let cfg = CpuConfig::default();
+        let mut cpu = CpuCore::new("cpu0", mport, Arc::new(map), cfg, PRIV, PRIV + 0x7000);
+        run(&mut net, &mut cpu, &mut mem, 1000);
+        let s = cpu.stats();
+        assert_eq!(cpu.regs()[3], 77);
+        assert_eq!(s.bus_reads, 2, "both uncacheable loads go to the bus");
+        assert_eq!((s.dcache.read_misses, s.dcache.read_hits), (1, 1));
     }
 
     #[test]

@@ -110,10 +110,11 @@ impl RefCore {
                 line_addr,
                 rd,
                 addr,
+                pc,
             } => {
                 let resp = self.port.take_response(net, now)?;
                 if resp.status != OcpStatus::Ok {
-                    self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
+                    self.stop_with_fault(now, CpuFault::BusError { pc });
                     return None;
                 }
                 self.dcache.fill(line_addr, &resp.data);
@@ -122,10 +123,10 @@ impl RefCore {
                 self.state = State::Ready;
                 Some(None)
             }
-            State::WaitLoad { rd } => {
+            State::WaitLoad { rd, pc } => {
                 let resp = self.port.take_response(net, now)?;
                 if resp.status != OcpStatus::Ok {
-                    self.stop_with_fault(now, CpuFault::BusError { pc: self.pc });
+                    self.stop_with_fault(now, CpuFault::BusError { pc });
                     return None;
                 }
                 self.write_reg(rd, resp.word());
@@ -262,9 +263,10 @@ impl RefCore {
                 self.pc = next_pc;
             }
             Ldw(rd, rs, imm) => {
+                let pc = self.pc;
                 let addr = self.reg(rs).wrapping_add(imm as u32);
                 if !addr.is_multiple_of(4) {
-                    self.stop_with_fault(now, CpuFault::MisalignedAccess { pc: self.pc, addr });
+                    self.stop_with_fault(now, CpuFault::MisalignedAccess { pc, addr });
                     return;
                 }
                 self.pc = next_pc;
@@ -281,12 +283,13 @@ impl RefCore {
                             line_addr: line,
                             rd,
                             addr,
+                            pc,
                         };
                     }
                 } else {
                     self.port.assert_request(net, OcpRequest::read(addr), now);
                     self.stats.bus_reads += 1;
-                    self.state = State::WaitLoad { rd };
+                    self.state = State::WaitLoad { rd, pc };
                 }
             }
             Stw(rd, rs, imm) => {
@@ -752,7 +755,96 @@ mod tests {
         }
     }
 
-    fn differential(cases: std::ops::Range<u64>) {
+    /// A program aimed at the cache memos, mostly on 2-set caches, direct
+    /// mapped or 2-way: counted loops whose body starts just before a line
+    /// boundary, so that it runs on two memoised lines, and that call a
+    /// function whose line aliases one of them (every call's refill
+    /// evicts a memoised line mid-loop), store into the memoised data
+    /// line and load it back, or load from two data lines of one set in
+    /// turn.
+    fn generate_memo(case: u64) -> Case {
+        let mut rng = Xorshift::new(case ^ 0x6D65_6D6F);
+        let geometry = match rng.below(4) {
+            // Every line of the loop, the callee and the data evicts or
+            // is evicted by another of its set; with two ways, LRU picks.
+            ways @ (1 | 2) => CacheConfig {
+                sets: 2,
+                ways,
+                words_per_line: 4,
+            },
+            0 => CacheConfig::tiny(),
+            _ => CacheConfig::default_l1(),
+        };
+        let line_words = geometry.words_per_line;
+        // The distance between two lines of one set.
+        let alias = geometry.line_bytes() * geometry.sets;
+        let mut a = Asm::new();
+        a.li(R10, DATA);
+        a.li(R11, DATA + alias);
+        for r in 1..=DATA_REGS {
+            a.li(Reg::new(r as u8), rng.next() as u32);
+        }
+        for n in 0..1 + rng.below(4) {
+            let label = format!("memo{n}");
+            a.align(line_words);
+            for _ in 0..line_words - 1 - rng.below(2) {
+                a.nop();
+            }
+            a.li(R9, 1 + rng.below(20));
+            a.label(label.clone());
+            alu(&mut a, &mut rng, 1, 4);
+            let word = |rng: &mut Xorshift| (rng.below(line_words) * 4) as i32;
+            match rng.below(4) {
+                0 => {
+                    a.jal("far");
+                }
+                1 => {
+                    let off = word(&mut rng);
+                    a.ldw(data_reg(&mut rng), R10, word(&mut rng));
+                    a.stw(data_reg(&mut rng), R10, off);
+                    a.ldw(data_reg(&mut rng), R10, off);
+                }
+                2 => {
+                    a.ldw(data_reg(&mut rng), R10, word(&mut rng));
+                    a.ldw(data_reg(&mut rng), R11, word(&mut rng));
+                }
+                _ => memory_op(&mut a, &mut rng),
+            }
+            alu(&mut a, &mut rng, 1, 3);
+            a.addi(R9, R9, -1);
+            a.bne(R9, R0, label);
+        }
+        ending(&mut a, &mut rng);
+        a.halt();
+        a.label("far");
+        alu(&mut a, &mut rng, 1, 3);
+        a.jr(R15);
+        let program = a.assemble(PRIV).expect("generated program assembles");
+        let mut stub = Asm::new();
+        alu(&mut stub, &mut rng, 1, 3);
+        stub.halt();
+        let stub = stub
+            .assemble(STUB)
+            .expect("stub assembles")
+            .words()
+            .to_vec();
+        let cap = if rng.below(2) == 0 {
+            40 + Cycle::from(rng.below(3_000))
+        } else {
+            30_000
+        };
+        Case {
+            program,
+            stub,
+            cfg: CpuConfig {
+                icache: geometry,
+                dcache: geometry,
+            },
+            cap,
+        }
+    }
+
+    fn differential(cases: std::ops::Range<u64>, generate: fn(u64) -> Case) {
         let (mut halted, mut faulted, mut capped) = (0u32, 0u32, 0u32);
         let (mut dense_visits, mut sparse_visits) = (0u64, 0u64);
         for n in cases {
@@ -790,7 +882,14 @@ mod tests {
 
     #[test]
     fn cpu_core_matches_the_per_cycle_reference() {
-        differential(0..2_000);
+        differential(0..2_000, generate);
+    }
+
+    /// Programs aimed at the line memos and batched hits; `ci.sh` runs it
+    /// by name in release under a timeout.
+    #[test]
+    fn cpu_core_matches_the_reference_on_memoised_lines() {
+        differential(0..2_000, generate_memo);
     }
 
     /// Ten times the programs; `ci.sh` runs it in release under a
@@ -798,7 +897,7 @@ mod tests {
     #[test]
     #[ignore = "long: run with --release -- --ignored"]
     fn cpu_core_matches_the_per_cycle_reference_long() {
-        differential(2_000..22_000);
+        differential(2_000..22_000, generate);
     }
 
     #[test]

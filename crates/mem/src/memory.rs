@@ -22,8 +22,10 @@ enum State {
 /// master's perspective the stall is part of the slave response time.
 ///
 /// The device is word-addressed; sub-word accesses are not supported by
-/// the platform. Out-of-range accesses produce an error response (writes
-/// included, so the interconnect always sees the transaction terminate).
+/// the platform. An out-of-range read receives an error response; an
+/// out-of-range write, like every write, is accepted without one — the
+/// acceptance still terminates it — and changes nothing. Both count in
+/// [`errors`](MemoryDevice::errors).
 pub struct MemoryDevice {
     name: String,
     base: u32,
@@ -134,7 +136,8 @@ impl MemoryDevice {
         self.writes
     }
 
-    /// Number of error responses produced.
+    /// Number of out-of-range transactions: reads that received an error
+    /// response and writes accepted without effect.
     pub fn errors(&self) -> u64 {
         self.errors
     }
@@ -358,6 +361,22 @@ mod tests {
         );
         assert_eq!(mem.peek(0x10FC), 7, "partial burst must not apply");
         assert_eq!(mem.errors(), 1);
+    }
+
+    #[test]
+    fn out_of_range_write_is_accepted_without_a_response() {
+        let (mut net, mut mem, m) = device();
+        run_write(&mut net, &mut mem, &m, OcpRequest::write(0x2000, 5), 0);
+        assert_eq!(mem.errors(), 1);
+        assert_eq!(mem.writes(), 0);
+        for now in 5..20 {
+            mem.tick(now, &mut net);
+            assert!(
+                m.take_response(&mut net, now).is_none(),
+                "no response queued"
+            );
+        }
+        assert!(mem.is_idle(&net));
     }
 
     #[test]

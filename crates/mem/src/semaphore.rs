@@ -25,8 +25,9 @@ enum State {
 /// what lets the TG reproduce architecture-dependent synchronisation
 /// traffic instead of merely replaying it.
 ///
-/// Burst accesses to the bank are protocol errors and receive an error
-/// response.
+/// Burst accesses and accesses past the last cell are protocol errors:
+/// a read receives an error response, a write is accepted without one
+/// and changes no cell. Both count in [`errors`](SemaphoreBank::errors).
 pub struct SemaphoreBank {
     name: String,
     base: u32,
@@ -108,7 +109,8 @@ impl SemaphoreBank {
         self.releases
     }
 
-    /// Number of error responses (bursts, unmapped cells).
+    /// Number of rejected accesses (bursts, unmapped cells): reads that
+    /// received an error response and writes accepted without effect.
     pub fn errors(&self) -> u64 {
         self.errors
     }
@@ -300,6 +302,28 @@ mod tests {
         assert_eq!(resp.status, OcpStatus::Error);
         assert_eq!(b.errors(), 1);
         assert_eq!(b.peek_cell(0), 1, "failed burst must not test-and-set");
+    }
+
+    #[test]
+    fn burst_write_is_accepted_without_a_response() {
+        let (mut net, mut b, m) = bank();
+        run_write(
+            &mut net,
+            &mut b,
+            &m,
+            OcpRequest::burst_write(0xA000, vec![0, 0]),
+            0,
+        );
+        assert_eq!(b.errors(), 1);
+        assert_eq!(b.peek_cell(0), 1, "a rejected burst locks nothing");
+        for now in 5..20 {
+            b.tick(now, &mut net);
+            assert!(
+                m.take_response(&mut net, now).is_none(),
+                "no response queued"
+            );
+        }
+        assert!(b.is_idle(&net));
     }
 
     #[test]
