@@ -26,12 +26,12 @@ if grep -rn 'set_nonblocking' crates/serve/src \
     exit 1
 fi
 
-# The daemon runs a campaign the way the CLI does: one run_campaign on
-# its worker pool, one shared artifact cache. Sharding + merge is the
-# CLI's multi-process feature and must not come back into the daemon.
-echo "==> daemon guard: no shards in server.rs"
-if grep -nE 'merge_shards|shard:' crates/serve/src/server.rs; then
-    echo "ci: the daemon shards campaigns again (see above)" >&2
+# One way to run a campaign: one run_campaign on a worker pool, in
+# ntg-sweep (--threads) or in the daemon (--workers). Multi-process
+# sharding and its merge step were retired and must not come back.
+echo "==> campaign guard: no sharding anywhere in the tree"
+if grep -rnE 'merge_shards|shard_path|--shard|RunOptions::shard' crates src tests examples; then
+    echo "ci: multi-process sharding is back (see above)" >&2
     exit 1
 fi
 
@@ -89,7 +89,7 @@ timeout 300 cargo test --release -q -p ntg-cpu --lib -- --ignored
 
 # The same differential on programs aimed at the cache memos: loops over
 # two memoised lines on 2-set caches, refills that evict a memoised line
-# mid-loop, stores into the memoised data line (DESIGN §4.19).
+# mid-loop, stores into the memoised data line (DESIGN §4.17).
 echo "==> ntg-cpu differential suite (memoised lines, release)"
 timeout 300 cargo test --release -q -p ntg-cpu --lib cpu_core_matches_the_reference_on_memoised_lines
 
@@ -133,15 +133,29 @@ $SWEEP --out "$STORE_SMOKE_DIR/cold.jsonl" | grep -q "traces 1 built"
 $SWEEP --out "$STORE_SMOKE_DIR/warm.jsonl" | grep -q "traces 0 built"
 cmp "$STORE_SMOKE_DIR/cold.jsonl" "$STORE_SMOKE_DIR/warm.jsonl"
 
-# Shard smoke: two shard processes sharing the store, merged back —
-# byte-identical to the single-process file above.
-echo "==> store smoke: shard + merge reproduces the single run"
-$SWEEP --out "$STORE_SMOKE_DIR/sharded.jsonl" --shard 1/2 > /dev/null
-$SWEEP --out "$STORE_SMOKE_DIR/sharded.jsonl" --shard 2/2 > /dev/null
-timeout 60 ./target/release/ntg-sweep merge --out "$STORE_SMOKE_DIR/sharded.jsonl" \
-    "$STORE_SMOKE_DIR/sharded.jsonl.shard-1-of-2" \
-    "$STORE_SMOKE_DIR/sharded.jsonl.shard-2-of-2" > /dev/null
-cmp "$STORE_SMOKE_DIR/sharded.jsonl" "$STORE_SMOKE_DIR/cold.jsonl"
+# Two processes, one store: campaigns A and B start together and share
+# the mp_matrix point. Each file must match its spec's --no-store run,
+# and between them they build each of the 3 distinct traces once.
+echo "==> store smoke: two concurrent campaigns share one store"
+PAIR="timeout 120 ./target/release/ntg-sweep --cores 2 --fabrics amba \
+    --masters cpu,tg,stochastic --quiet"
+PAIR_A="--workloads cacheloop:500,mp_matrix:8"
+PAIR_B="--workloads mp_matrix:8,des:4"
+$PAIR $PAIR_A --no-store --out "$STORE_SMOKE_DIR/a-solo.jsonl" > /dev/null
+$PAIR $PAIR_B --no-store --out "$STORE_SMOKE_DIR/b-solo.jsonl" > /dev/null
+$PAIR $PAIR_A --store "$STORE_SMOKE_DIR/shared" --out "$STORE_SMOKE_DIR/a.jsonl" \
+    > "$STORE_SMOKE_DIR/a.txt" &
+PAIR_A_PID=$!
+$PAIR $PAIR_B --store "$STORE_SMOKE_DIR/shared" --out "$STORE_SMOKE_DIR/b.jsonl" \
+    > "$STORE_SMOKE_DIR/b.txt" &
+PAIR_B_PID=$!
+wait "$PAIR_A_PID"
+wait "$PAIR_B_PID"
+cmp "$STORE_SMOKE_DIR/a.jsonl" "$STORE_SMOKE_DIR/a-solo.jsonl"
+cmp "$STORE_SMOKE_DIR/b.jsonl" "$STORE_SMOKE_DIR/b-solo.jsonl"
+PAIR_BUILT=$(sed -n 's/^cache: traces \([0-9]*\) built.*/\1/p' \
+    "$STORE_SMOKE_DIR/a.txt" "$STORE_SMOKE_DIR/b.txt" | awk '{ n += $1 } END { print n }')
+[ "$PAIR_BUILT" = 3 ]
 
 # Report smoke: ntg-report over the checked-in mini-campaign must
 # reproduce the golden markdown/CSVs byte-for-byte (the golden tests

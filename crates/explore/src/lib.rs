@@ -28,10 +28,9 @@
 //! * a persistent, content-addressed [`DiskStore`] spills both cache
 //!   levels to disk (`~/.cache/ntg` by default), so *repeat* campaigns
 //!   skip the expensive reference simulations entirely — the
-//!   `disk_hits` counter tier makes that assertable;
-//! * campaigns shard across processes/machines (`RunOptions::shard`,
-//!   the CLI's `--shard`); [`merge_shards`] reassembles the shard
-//!   JSONLs into a file byte-identical to a single-process run.
+//!   `disk_hits` counter tier makes that assertable. Campaigns in
+//!   several processes may share one store and still build each
+//!   artifact once.
 //!
 //! The `ntg-sweep` binary is the CLI frontend. Its `table2`, `fabrics`
 //! and `ablation` presets are the paper's experiments, and `ntg-report`
@@ -62,8 +61,7 @@ pub use cache::{ArtifactCache, CacheSnapshot, TraceArtifact};
 pub use json::Json;
 pub use result::{parse_results, CampaignHeader, JobMetrics, JobResult, LoadedResults};
 pub use runner::{
-    collect_shard_files, merge_shards, metrics_path, partial_path, run_campaign, shard_path,
-    timings_path, CampaignOutcome, MergeSummary, RunOptions,
+    metrics_path, partial_path, run_campaign, timings_path, CampaignOutcome, RunOptions,
 };
 pub use spec::{CampaignSpec, CoreSelection, JobSpec, MasterChoice};
 pub use store::{

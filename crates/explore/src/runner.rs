@@ -4,14 +4,14 @@
 //! each in-process worker thread builds, runs and drops whole
 //! platforms. A [`Platform`] owns its entire component graph through
 //! the link arena and is a plain `Send` value (compile-asserted in
-//! `ntg-platform`), so workers are ordinary scoped threads — no
-//! process sharding needed for parallelism. All `--threads N` workers
-//! share *one* in-memory [`ArtifactCache`] (hit/miss counters are
-//! atomics) backed by *one* open [`DiskStore`](crate::store::DiskStore)
-//! handle, so an artifact is built or loaded at most once per
-//! invocation no matter how many workers want it. Shared state beyond
-//! that is limited to the work queue (an atomic index), the collected
-//! results and the journal file.
+//! `ntg-platform`), so workers are ordinary scoped threads. All
+//! `--threads N` workers share *one* in-memory [`ArtifactCache`]
+//! (hit/miss counters are atomics) backed by *one* open
+//! [`DiskStore`](crate::store::DiskStore) handle, so an artifact is
+//! built or loaded at most once per invocation no matter how many
+//! workers want it. Shared state beyond that is limited to the work
+//! queue (an atomic index), the collected results and the journal
+//! file.
 //!
 //! # One reference run per design point
 //!
@@ -83,11 +83,6 @@ pub struct RunOptions {
     /// Base directory of the persistent artifact store; `None` keeps
     /// the cache in-memory only (every invocation re-traces).
     pub store: Option<PathBuf>,
-    /// Run only this shard: `Some((i, n))` with `1 ≤ i ≤ n` executes
-    /// the jobs whose `id % n == i - 1` and writes a *shard file*
-    /// (header + that shard's lines). [`merge_shards`] reassembles the
-    /// full canonical file.
-    pub shard: Option<(usize, usize)>,
     /// Remote artifact tier attached behind the disk store. Ignored
     /// without [`store`](Self::store) — the remote tier only exchanges
     /// framed entries with a local disk level, never feeds the
@@ -103,7 +98,6 @@ impl Default for RunOptions {
             resume: false,
             quiet: true,
             store: None,
-            shard: None,
             remote: None,
         }
     }
@@ -136,15 +130,6 @@ pub struct CampaignOutcome {
 /// they are recorded in that job's [`JobResult::error`].
 pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOutcome, String> {
     let started = Instant::now();
-    if let Some((i, n)) = opts.shard {
-        if n == 0 || i == 0 || i > n {
-            return Err(format!("invalid shard {i}/{n} (need 1 <= i <= n)"));
-        }
-    }
-    // Round-robin shard membership: interleaving spreads each
-    // workload's expensive reference runs across shards instead of
-    // concentrating them in one.
-    let in_shard = |id: usize| opts.shard.is_none_or(|(i, n)| id % n == i - 1);
     let jobs = spec.expand();
     let header = CampaignHeader {
         name: spec.name.clone(),
@@ -159,17 +144,14 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOu
         if let Some(out) = &opts.out {
             for r in load_prior_results(out, &header, &jobs) {
                 let id = r.id;
-                if done[id].is_none() && in_shard(id) {
+                if done[id].is_none() {
                     resumed += 1;
                     done[id] = Some(r);
                 }
             }
         }
     }
-    let mut pending: Vec<&JobSpec> = jobs
-        .iter()
-        .filter(|j| done[j.id].is_none() && in_shard(j.id))
-        .collect();
+    let mut pending: Vec<&JobSpec> = jobs.iter().filter(|j| done[j.id].is_none()).collect();
     pending.sort_by_key(|j| (!spec.produces_trace(j), std::cmp::Reverse(j.cores), j.id));
 
     // Open the journal (header first if the file is new/empty).
@@ -212,7 +194,6 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOu
     let next = AtomicUsize::new(0);
     let fresh: Mutex<Vec<JobResult>> = Mutex::new(Vec::new());
     let progress = AtomicUsize::new(resumed);
-    let selected_total = jobs.iter().filter(|j| in_shard(j.id)).count();
 
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -236,7 +217,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOu
                     });
                 let n = progress.fetch_add(1, Ordering::Relaxed) + 1;
                 if !opts.quiet {
-                    eprintln!("[{n}/{selected_total}] {}", describe(&result));
+                    eprintln!("[{n}/{}] {}", jobs.len(), describe(&result));
                 }
                 if let Some(j) = &journal {
                     let mut f = j.lock().expect("journal poisoned");
@@ -260,7 +241,6 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignOu
     let mut results: Vec<JobResult> = done
         .into_iter()
         .enumerate()
-        .filter(|&(id, _)| in_shard(id))
         .map(|(id, r)| {
             r.unwrap_or_else(|| JobResult::failed(&jobs[id], "job was never executed".into()))
         })
@@ -299,162 +279,6 @@ pub fn timings_path(out: &Path) -> PathBuf {
 /// `<out>.metrics.jsonl` — the non-canonical observability sidecar.
 pub fn metrics_path(out: &Path) -> PathBuf {
     with_suffix(out, ".metrics.jsonl")
-}
-
-/// `<out>.shard-<i>-of-<n>` — the conventional per-shard output path
-/// (used by `ntg-sweep --shard`; `merge_shards` accepts any paths).
-pub fn shard_path(out: &Path, shard: (usize, usize)) -> PathBuf {
-    with_suffix(out, &format!(".shard-{}-of-{}", shard.0, shard.1))
-}
-
-/// Collects the shard result files in `dir` for `merge_shards`:
-/// regular files whose name contains `.shard-` and does not end in a
-/// sidecar suffix (`.partial.jsonl`, `.timings.jsonl`,
-/// `.metrics.jsonl`). Sorted by file name, so the merge input order —
-/// and therefore any error message — is deterministic regardless of
-/// directory enumeration order. (Merge output is order-independent
-/// anyway: results are reassembled by job id.)
-///
-/// # Errors
-///
-/// Returns a message if `dir` is unreadable or holds no shard files.
-pub fn collect_shard_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let rd = fs::read_dir(dir).map_err(|e| format!("read dir {}: {e}", dir.display()))?;
-    let mut files = Vec::new();
-    for entry in rd {
-        let entry = entry.map_err(|e| format!("read dir {}: {e}", dir.display()))?;
-        let path = entry.path();
-        if !path.is_file() {
-            continue;
-        }
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let sidecar = name.ends_with(".partial.jsonl")
-            || name.ends_with(".timings.jsonl")
-            || name.ends_with(".metrics.jsonl");
-        if name.contains(".shard-") && !sidecar {
-            files.push(path);
-        }
-    }
-    if files.is_empty() {
-        return Err(format!("no shard files in {}", dir.display()));
-    }
-    files.sort();
-    Ok(files)
-}
-
-/// What [`merge_shards`] merged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeSummary {
-    /// The shared campaign header.
-    pub header: CampaignHeader,
-    /// Shard files consumed.
-    pub shards: usize,
-    /// Total job lines in the merged canonical file.
-    pub jobs: usize,
-}
-
-/// Merges shard result files into the canonical campaign file at
-/// `out` — byte-identical to what a single-process run of the same
-/// spec would have written.
-///
-/// Every shard must carry the same header (name, fingerprint, job
-/// count); together the shards must cover every job id exactly once
-/// (duplicates across files are tolerated only if the lines agree on
-/// the derived-field-independent content). The cross-shard derived
-/// fields — `error_pct` (needs the CPU reference, possibly in another
-/// shard) and the structural cache flags — are recomputed here over
-/// the union, which is what makes byte-identity with an unsharded run
-/// possible.
-///
-/// # Errors
-///
-/// Returns a message on unreadable/unparsable files, header
-/// mismatches, conflicting duplicates, missing ids, or an unwritable
-/// output.
-pub fn merge_shards(shard_files: &[PathBuf], out: &Path) -> Result<MergeSummary, String> {
-    if shard_files.is_empty() {
-        return Err("no shard files to merge".into());
-    }
-    let mut header: Option<CampaignHeader> = None;
-    let mut by_id: Vec<Option<JobResult>> = Vec::new();
-    for path in shard_files {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let loaded = parse_results(&text, false).map_err(|e| format!("{}: {e}", path.display()))?;
-        match &header {
-            None => {
-                by_id = vec![None; loaded.header.jobs];
-                header = Some(loaded.header.clone());
-            }
-            Some(h) if *h != loaded.header => {
-                return Err(format!(
-                    "{}: header mismatch (campaign `{}` fingerprint {:016x} vs `{}` {:016x})",
-                    path.display(),
-                    loaded.header.name,
-                    loaded.header.fingerprint,
-                    h.name,
-                    h.fingerprint
-                ));
-            }
-            Some(_) => {}
-        }
-        for r in loaded.results {
-            let slot = by_id
-                .get_mut(r.id)
-                .ok_or_else(|| format!("{}: job id {} out of range", path.display(), r.id))?;
-            match slot {
-                None => *slot = Some(r),
-                // Shard-local derived fields may differ; the job's own
-                // measurements must not.
-                Some(prev) if conflicts(prev, &r) => {
-                    return Err(format!(
-                        "{}: job {} ({}) appears in multiple shards with conflicting results",
-                        path.display(),
-                        r.id,
-                        r.key
-                    ));
-                }
-                Some(_) => {}
-            }
-        }
-    }
-    let header = header.expect("at least one shard file");
-    let missing: Vec<usize> = by_id
-        .iter()
-        .enumerate()
-        .filter_map(|(id, r)| r.is_none().then_some(id))
-        .collect();
-    if !missing.is_empty() {
-        return Err(format!(
-            "shards do not cover the campaign: {} of {} jobs missing (first missing id {})",
-            missing.len(),
-            by_id.len(),
-            missing[0]
-        ));
-    }
-    let mut results: Vec<JobResult> = by_id.into_iter().flatten().collect();
-    fill_error_pct(&mut results);
-    fill_cache_flags(&mut results);
-    write_canonical(out, &header, &results)?;
-    Ok(MergeSummary {
-        jobs: results.len(),
-        shards: shard_files.len(),
-        header,
-    })
-}
-
-/// Whether two lines for the same job id disagree on anything other
-/// than the finalise-derived fields (`error_pct`, cache flags).
-fn conflicts(a: &JobResult, b: &JobResult) -> bool {
-    let strip = |r: &JobResult| {
-        let mut r = r.clone();
-        r.error_pct = None;
-        r.trace_cache_hit = None;
-        r.image_cache_hit = None;
-        r
-    };
-    strip(a) != strip(b)
 }
 
 fn with_suffix(out: &Path, suffix: &str) -> PathBuf {

@@ -5,8 +5,8 @@
 //! *across* campaigns and processes. The paper's speedup (§6, Table 2)
 //! is precisely this economics — the expensive cycle-true reference run
 //! is a one-time cost — so a second `ntg-sweep` over the same grid
-//! should re-trace nothing, and a campaign split into shards should
-//! build each artifact at most once between them.
+//! should re-trace nothing, and campaigns in several processes sharing
+//! one store should build each artifact at most once between them.
 //!
 //! # Layout
 //!

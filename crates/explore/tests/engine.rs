@@ -1,13 +1,13 @@
 //! End-to-end campaign engine tests: determinism across worker-thread
-//! counts and shards, exactly-once artifact building (each trace inside
-//! its point's CPU reference run), and resume-from-partial.
+//! counts, exactly-once artifact building (each trace inside its
+//! point's CPU reference run), and resume-from-partial.
 
 use std::fs;
 use std::time::Duration;
 
 use ntg_explore::{
-    merge_shards, metrics_path, parse_results, partial_path, run_campaign, shard_path,
-    timings_path, CampaignSpec, CoreSelection, DiskStore, Json, MasterChoice, RunOptions,
+    metrics_path, parse_results, partial_path, run_campaign, timings_path, CampaignSpec,
+    CoreSelection, DiskStore, Json, MasterChoice, RunOptions,
 };
 use ntg_platform::InterconnectChoice;
 use ntg_workloads::synthetic::{ALL_PATTERNS, ALL_SHAPES};
@@ -347,47 +347,6 @@ fn synthetic_jsonl_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn synthetic_shards_merge_to_the_unsharded_file() {
-    let spec = synthetic_spec();
-    let full = tmp_out("syn-full.jsonl");
-    run_campaign(
-        &spec,
-        &RunOptions {
-            threads: 2,
-            out: Some(full.clone()),
-            ..RunOptions::default()
-        },
-    )
-    .unwrap();
-
-    let merged = tmp_out("syn-merged.jsonl");
-    let mut shards = Vec::new();
-    for i in 1..=2 {
-        let out = shard_path(&merged, (i, 2));
-        let _ = fs::remove_file(&out);
-        let _ = fs::remove_file(partial_path(&out));
-        run_campaign(
-            &spec,
-            &RunOptions {
-                threads: 2,
-                out: Some(out.clone()),
-                shard: Some((i, 2)),
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        shards.push(out);
-    }
-    let summary = merge_shards(&shards, &merged).unwrap();
-    assert_eq!(summary.jobs, 42);
-    assert_eq!(
-        fs::read(&merged).unwrap(),
-        fs::read(&full).unwrap(),
-        "sharded + merged synthetic campaign must match the unsharded run"
-    );
-}
-
-#[test]
 fn canonical_file_parses_back_and_is_sorted_by_id() {
     let spec = small_spec();
     let out = tmp_out("parse-back.jsonl");
@@ -413,23 +372,20 @@ fn canonical_file_parses_back_and_is_sorted_by_id() {
     }
 }
 
-/// The three execution modes — one worker, several in-process workers
-/// (Send platforms sharing one in-memory cache and one open store
-/// handle), and two shard processes merged back — must all produce the
-/// same canonical bytes, and the metrics sidecars must agree line for
-/// line.
-fn assert_threads_and_shards_agree(spec: &CampaignSpec, tag: &str) {
+/// One worker and several in-process workers (Send platforms sharing
+/// one in-memory cache and one open store handle) must produce the same
+/// canonical bytes, and the metrics sidecars must agree line for line.
+fn assert_threads_agree(spec: &CampaignSpec, tag: &str) {
     let store = std::env::temp_dir().join(format!("ntg-explore-tests/{tag}-store"));
     let _ = fs::remove_dir_all(&store);
 
-    let run = |out: &std::path::Path, threads: usize, shard: Option<(usize, usize)>| {
+    let run = |out: &std::path::Path, threads: usize| {
         run_campaign(
             spec,
             &RunOptions {
                 threads,
                 out: Some(out.to_path_buf()),
                 store: Some(store.clone()),
-                shard,
                 ..RunOptions::default()
             },
         )
@@ -437,12 +393,12 @@ fn assert_threads_and_shards_agree(spec: &CampaignSpec, tag: &str) {
     };
 
     let out1 = tmp_out(&format!("{tag}-t1.jsonl"));
-    run(&out1, 1, None);
+    run(&out1, 1);
     let canonical = fs::read(&out1).unwrap();
     assert!(!canonical.is_empty());
     for threads in [2, 4] {
         let out = tmp_out(&format!("{tag}-t{threads}.jsonl"));
-        run(&out, threads, None);
+        run(&out, threads);
         assert_eq!(
             canonical,
             fs::read(&out).unwrap(),
@@ -454,55 +410,11 @@ fn assert_threads_and_shards_agree(spec: &CampaignSpec, tag: &str) {
             "metrics sidecars must not depend on in-process worker count ({threads})"
         );
     }
-
-    // Shard halves through the same store, then merge.
-    let merged = tmp_out(&format!("{tag}-merged.jsonl"));
-    let mut shards = Vec::new();
-    for i in 1..=2 {
-        let out = shard_path(&merged, (i, 2));
-        let _ = fs::remove_file(&out);
-        let _ = fs::remove_file(partial_path(&out));
-        run(&out, 2, Some((i, 2)));
-        shards.push(out);
-    }
-    merge_shards(&shards, &merged).unwrap();
-    assert_eq!(
-        fs::read(&merged).unwrap(),
-        canonical,
-        "sharded + merged canonical bytes must match the unsharded run"
-    );
-
-    // Each shard writes the metrics sidecar for its own jobs; the union
-    // (ordered by job id, matching the canonical sort) must be exactly
-    // the unsharded sidecar's job lines.
-    let body = |path: &std::path::Path| -> Vec<String> {
-        fs::read_to_string(path)
-            .unwrap()
-            .lines()
-            .skip(1) // campaign header line
-            .map(str::to_owned)
-            .collect()
-    };
-    let mut union: Vec<String> = shards.iter().flat_map(|s| body(&metrics_path(s))).collect();
-    union.sort_by_key(|line| {
-        let id = line.split("\"id\":").nth(1).expect("metrics line has id");
-        id.split(',')
-            .next()
-            .unwrap()
-            .trim()
-            .parse::<usize>()
-            .expect("numeric id")
-    });
-    assert_eq!(
-        union,
-        body(&metrics_path(&out1)),
-        "shard metrics sidecars must union to the unsharded sidecar"
-    );
 }
 
 #[test]
-fn threads_and_shards_agree_on_canonical_and_metrics_bytes() {
-    assert_threads_and_shards_agree(&small_spec(), "identity");
+fn threads_agree_on_canonical_and_metrics_bytes() {
+    assert_threads_agree(&small_spec(), "identity");
 }
 
 /// {CPU, TG, stochastic} × {AMBA, ×pipes} × 2 cores over two test-scale
@@ -525,8 +437,8 @@ fn reference_spec() -> CampaignSpec {
 }
 
 #[test]
-fn reference_campaign_bytes_agree_across_threads_and_shards() {
-    assert_threads_and_shards_agree(&reference_spec(), "reference");
+fn reference_campaign_bytes_agree_across_threads() {
+    assert_threads_agree(&reference_spec(), "reference");
 }
 
 #[test]

@@ -1,27 +1,33 @@
-//! Persistent-store and shard/merge integration tests: warm-store
-//! campaigns rebuild nothing, sharded campaigns merge byte-identically
-//! to a single-process run, and store corruption degrades to a rebuild.
+//! Persistent-store integration tests: warm-store campaigns rebuild
+//! nothing, concurrent campaigns sharing a store build each artifact
+//! once, and store corruption degrades to a rebuild.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 
 use ntg_explore::{
-    merge_shards, partial_path, run_campaign, shard_path, CampaignSpec, CoreSelection,
-    MasterChoice, RunOptions,
+    partial_path, run_campaign, CampaignSpec, CoreSelection, MasterChoice, RunOptions,
 };
 use ntg_platform::InterconnectChoice;
 use ntg_workloads::Workload;
 
 /// 2 workloads × 2 cores × 1 fabric × (cpu + tg + stochastic) = 6
-/// jobs, 2 distinct traces. The stochastic master matters: with
-/// round-robin sharding it puts trace *consumers* of every workload in
-/// both shards, so cross-shard store reuse is actually exercised.
+/// jobs, 2 distinct traces.
 fn spec() -> CampaignSpec {
-    let mut spec = CampaignSpec::new("store-test");
-    spec.workloads = vec![
-        Workload::MpMatrix { n: 8 },
-        Workload::Cacheloop { iterations: 500 },
-    ];
+    spec_of(
+        "store-test",
+        vec![
+            Workload::MpMatrix { n: 8 },
+            Workload::Cacheloop { iterations: 500 },
+        ],
+    )
+}
+
+/// `workloads` × 2 cores × AMBA × (cpu + tg + stochastic).
+fn spec_of(name: &str, workloads: Vec<Workload>) -> CampaignSpec {
+    let mut spec = CampaignSpec::new(name);
+    spec.workloads = workloads;
     spec.cores = CoreSelection::List(vec![2]);
     spec.interconnects = vec![InterconnectChoice::Amba];
     spec.masters = vec![
@@ -73,109 +79,100 @@ fn warm_store_reruns_with_zero_builds_and_identical_bytes() {
     );
 }
 
+/// Two campaigns in flight at once, each with its own store handle over
+/// one directory (as two processes would be), overlapping on one design
+/// point: the shared trace and image are built by one of them and read
+/// from disk by the other, whose trace producer then runs untraced.
+/// Whether the loser waits on the winner's build lock or finds the entry
+/// already written depends on timing, so the pair runs three times, each
+/// on a fresh store.
 #[test]
-fn sharded_runs_merge_byte_identical_to_a_single_run() {
-    let dir = scratch("shards");
-    let store = dir.join("store");
-    let out = dir.join("campaign.jsonl");
+fn two_campaigns_sharing_a_store_build_each_trace_once() {
+    let dir = scratch("shared");
+    let specs = [
+        spec_of(
+            "shared-a",
+            vec![
+                Workload::Cacheloop { iterations: 500 },
+                Workload::MpMatrix { n: 8 },
+            ],
+        ),
+        spec_of(
+            "shared-b",
+            vec![
+                Workload::MpMatrix { n: 8 },
+                Workload::Des { blocks_per_core: 4 },
+            ],
+        ),
+    ];
+    let distinct_points = 3;
+    let solo: Vec<Vec<u8>> = specs
+        .iter()
+        .map(|spec| {
+            let out = dir.join(format!("{}-solo.jsonl", spec.name));
+            run_campaign(
+                spec,
+                &RunOptions {
+                    threads: 2,
+                    out: Some(out.clone()),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+            fs::read(out).unwrap()
+        })
+        .collect();
 
-    // Ground truth: one process, no store (proves the store doesn't
-    // leak into canonical bytes either).
-    let single = dir.join("single.jsonl");
-    run_campaign(
-        &spec(),
-        &RunOptions {
-            threads: 2,
-            out: Some(single.clone()),
-            ..RunOptions::default()
-        },
-    )
-    .unwrap();
+    for round in 0..3 {
+        let store = dir.join(format!("store-{round}"));
+        let out = |spec: &CampaignSpec| dir.join(format!("{}-{round}.jsonl", spec.name));
+        let start = Barrier::new(specs.len());
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|spec| {
+                    let (out, store, start) = (out(spec), &store, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        run_campaign(spec, &opts(&out, store)).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-    // Two shards sharing one store, run back to back like two machines
-    // would.
-    let mut shard_files = Vec::new();
-    let mut trace_builds = 0;
-    for i in 1..=2 {
-        let shard_out = shard_path(&out, (i, 2));
-        let outcome = run_campaign(
-            &spec(),
-            &RunOptions {
-                shard: Some((i, 2)),
-                ..opts(&shard_out, &store)
-            },
-        )
-        .unwrap();
-        assert_eq!(outcome.results.len(), 3, "each shard runs half the jobs");
-        trace_builds += outcome.cache.trace_misses;
-        shard_files.push(shard_out);
+        let built = |f: fn(&ntg_explore::CacheSnapshot) -> u64| -> u64 {
+            outcomes.iter().map(|o| f(&o.cache)).sum()
+        };
+        assert_eq!(
+            built(|c| c.trace_misses),
+            distinct_points,
+            "round {round}: the shared point's trace is built once between the campaigns"
+        );
+        assert_eq!(built(|c| c.image_misses), distinct_points, "round {round}");
+        assert_eq!(
+            built(|c| c.trace_disk_hits),
+            1,
+            "round {round}: the campaign that lost the race reads the shared trace from disk"
+        );
+        for (spec, solo) in specs.iter().zip(&solo) {
+            assert!(
+                fs::read(out(spec)).unwrap() == *solo,
+                "round {round}, {}: a shared store must not change canonical bytes",
+                spec.name
+            );
+            assert!(
+                !partial_path(&out(spec)).exists(),
+                "{}: stray journal",
+                spec.name
+            );
+        }
+        let leftovers: Vec<_> = walk(&store)
+            .into_iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "lock"))
+            .collect();
+        assert!(leftovers.is_empty(), "stray build locks: {leftovers:?}");
     }
-    // Each trace artifact was built by exactly one shard; the other
-    // pulled it from the shared store.
-    assert_eq!(trace_builds, 2, "no trace built twice across shards");
-
-    let summary = merge_shards(&shard_files, &out).unwrap();
-    assert_eq!(summary.shards, 2);
-    assert_eq!(summary.jobs, 6);
-    assert_eq!(
-        fs::read(&out).unwrap(),
-        fs::read(&single).unwrap(),
-        "merged shards must be byte-identical to the unsharded run"
-    );
-}
-
-#[test]
-fn merge_rejects_incomplete_shard_coverage() {
-    let dir = scratch("missing");
-    let store = dir.join("store");
-    let out = dir.join("campaign.jsonl");
-    let shard1 = shard_path(&out, (1, 2));
-    run_campaign(
-        &spec(),
-        &RunOptions {
-            shard: Some((1, 2)),
-            ..opts(&shard1, &store)
-        },
-    )
-    .unwrap();
-    let err = merge_shards(&[shard1], &out).unwrap_err();
-    assert!(err.contains("missing"), "{err}");
-    assert!(!out.exists(), "no canonical file on failed merge");
-}
-
-#[test]
-fn merge_rejects_header_mismatch_and_names_the_file() {
-    let dir = scratch("header-mismatch");
-    let store = dir.join("store");
-    let out = dir.join("campaign.jsonl");
-    let mut shard_files = Vec::new();
-    for i in 1..=2 {
-        let shard_out = shard_path(&out, (i, 2));
-        run_campaign(
-            &spec(),
-            &RunOptions {
-                shard: Some((i, 2)),
-                ..opts(&shard_out, &store)
-            },
-        )
-        .unwrap();
-        shard_files.push(shard_out);
-    }
-    // Shard 2 claims to come from a different campaign spec.
-    let text = fs::read_to_string(&shard_files[1]).unwrap();
-    let tampered = text.replacen("store-test", "other-campaign", 1);
-    assert_ne!(text, tampered, "header line must carry the campaign name");
-    fs::write(&shard_files[1], tampered).unwrap();
-
-    let err = merge_shards(&shard_files, &out).unwrap_err();
-    assert!(err.contains("header mismatch"), "{err}");
-    assert!(
-        err.contains(&shard_files[1].display().to_string()),
-        "error must name the offending file: {err}"
-    );
-    assert!(err.contains("other-campaign"), "{err}");
-    assert!(err.contains("store-test"), "{err}");
-    assert!(!out.exists(), "no canonical file on failed merge");
 }
 
 #[test]
@@ -218,28 +215,6 @@ fn corrupt_store_entries_degrade_to_a_rebuild() {
     let healed = run_campaign(&spec(), &opts(&dir.join("healed.jsonl"), &store)).unwrap();
     assert_eq!(healed.cache.trace_misses, 0);
     assert_eq!(healed.cache.trace_disk_hits, 2);
-}
-
-#[test]
-fn shard_runs_leave_no_stray_journals() {
-    let dir = scratch("journal");
-    let store = dir.join("store");
-    let out = dir.join("campaign.jsonl");
-    let shard1 = shard_path(&out, (1, 2));
-    run_campaign(
-        &spec(),
-        &RunOptions {
-            shard: Some((1, 2)),
-            ..opts(&shard1, &store)
-        },
-    )
-    .unwrap();
-    assert!(shard1.exists());
-    assert!(!partial_path(&shard1).exists());
-    assert!(
-        !out.exists(),
-        "a shard run must not write the canonical path"
-    );
 }
 
 fn walk(root: &Path) -> Vec<PathBuf> {

@@ -13,9 +13,6 @@
 //! ntg-sweep --workloads mp_matrix:16 --cores 4 --fabrics all \
 //!           --masters cpu,tg --out fabrics.jsonl
 //! ntg-sweep --preset table2 --resume --out table2.jsonl
-//! ntg-sweep --preset table2 --shard 1/2 --out table2.jsonl   # machine A
-//! ntg-sweep --preset table2 --shard 2/2 --out table2.jsonl   # machine B
-//! ntg-sweep merge --out table2.jsonl shards/                 # or explicit files
 //! ntg-sweep submit --server 127.0.0.1:7070 --preset quick
 //! ntg-sweep watch --server 127.0.0.1:7070 <job-id>
 //! ntg-sweep fetch --server 127.0.0.1:7070 <job-id> --out quick.jsonl
@@ -26,8 +23,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use ntg_explore::{
-    collect_shard_files, merge_shards, run_campaign, shard_path, CampaignSpec, CoreSelection,
-    DiskStore, JobResult, Json, MasterChoice, RunOptions,
+    run_campaign, CampaignSpec, CoreSelection, DiskStore, JobResult, Json, MasterChoice, RunOptions,
 };
 use ntg_platform::{InterconnectChoice, ALL_INTERCONNECTS};
 use ntg_serve::{http, normalize_addr, HttpRemote};
@@ -43,7 +39,6 @@ ntg-sweep — run a design-space-exploration campaign
 
 USAGE:
     ntg-sweep [--preset NAME] [OPTIONS]
-    ntg-sweep merge --out PATH SHARD_FILE_OR_DIR...
     ntg-sweep submit --server ADDR [--preset NAME] [AXIS OPTIONS]
     ntg-sweep watch --server ADDR JOB_ID
     ntg-sweep fetch --server ADDR JOB_ID [--out PATH] [--view NAME] [--sidecars]
@@ -85,19 +80,14 @@ OPTIONS:
     --threads N          worker threads; 0 = one per hardware thread (default 1)
     --out PATH           result file (default <name>.jsonl)
     --resume             keep matching results from an earlier partial run
-    --shard I/N          run only shard I of N (jobs are dealt round-robin by
-                         id); the result file gets a `.shard-I-of-N` suffix.
-                         Reassemble with `ntg-sweep merge`.
     --store PATH         persistent artifact store for traces/TG binaries
                          (default: $NTG_STORE, else ~/.cache/ntg)
     --no-store           skip the persistent store for this run
     --remote ADDR        tier the store over an ntg-serve artifact daemon:
                          local misses fetch from it, local builds publish to it
-    --store-gc BYTES     prune the store to BYTES (least recently used
-                         artifacts first) and exit
-    --dry-run            print the expanded job list, shard assignment, an
-                         estimate of trace/image store reuse and the
-                         simulations a cold run executes, then exit
+    --dry-run            print the expanded job list, an estimate of
+                         trace/image store reuse and the simulations a
+                         cold run executes, then exit
                          (for `store gc`: preview evictions without deleting)
     --quiet              suppress per-job progress on stderr
     -h, --help           this text
@@ -115,7 +105,8 @@ SERVICE COMMANDS:
              markdown|table2|rankings|pareto|saturation), and
              optionally the timing/metrics sidecars (--sidecars)
     store    stats: local artifact store entry counts, bytes, root
-             gc:    prune like --store-gc; --dry-run previews
+             gc:    prune to BYTES, least recently used artifacts first;
+                    --dry-run previews
 ";
 
 fn main() -> ExitCode {
@@ -134,7 +125,6 @@ fn take(it: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, Stri
 
 fn run(args: Vec<String>) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
-        Some("merge") => return run_merge(args[1..].to_vec()),
         Some("submit") => return run_submit(args[1..].to_vec()),
         Some("watch") => return run_watch(args[1..].to_vec()),
         Some("fetch") => return run_fetch(args[1..].to_vec()),
@@ -151,13 +141,11 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         resume: false,
         quiet: false,
         store: None,
-        shard: None,
         remote: None,
     };
     let mut store_flag: Option<PathBuf> = None;
     let mut no_store = false;
     let mut remote_flag: Option<String> = None;
-    let mut store_gc: Option<u64> = None;
     let mut dry_run = false;
 
     let mut it = args.into_iter();
@@ -174,17 +162,9 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
             }
             "--out" => out = Some(PathBuf::from(take(&mut it, "--out")?)),
             "--resume" => opts.resume = true,
-            "--shard" => opts.shard = Some(parse_shard(&take(&mut it, "--shard")?)?),
             "--store" => store_flag = Some(PathBuf::from(take(&mut it, "--store")?)),
             "--no-store" => no_store = true,
             "--remote" => remote_flag = Some(take(&mut it, "--remote")?),
-            "--store-gc" => {
-                store_gc = Some(
-                    take(&mut it, "--store-gc")?
-                        .parse()
-                        .map_err(|e| format!("--store-gc: {e}"))?,
-                );
-            }
             "--dry-run" => dry_run = true,
             "--quiet" => opts.quiet = true,
             "-h" | "--help" => {
@@ -201,12 +181,6 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         (false, None) => DiskStore::default_base(),
     };
 
-    if let Some(budget) = store_gc {
-        let base = store_base
-            .ok_or("--store-gc: no store configured (give --store or set NTG_STORE/HOME)")?;
-        return gc_store(&base, budget, false);
-    }
-
     let mut spec = spec.ok_or("nothing to do: give --preset or axis options (see --help)")?;
     if let Some(n) = name {
         spec.name = n;
@@ -217,7 +191,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
 
     let jobs = spec.expand();
     if dry_run {
-        print_dry_run(&spec, &jobs, opts.shard);
+        print_dry_run(&spec, &jobs);
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -230,13 +204,7 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
         }
         opts.remote = Some(Arc::new(HttpRemote::new(&addr)));
     }
-    let base_out = out.unwrap_or_else(|| PathBuf::from(format!("{}.jsonl", spec.name)));
-    opts.out = Some(match opts.shard {
-        // Shards write next to the canonical path, never to it — the
-        // canonical file is `merge`'s to produce.
-        Some(shard) => shard_path(&base_out, shard),
-        None => base_out,
-    });
+    opts.out = Some(out.unwrap_or_else(|| PathBuf::from(format!("{}.jsonl", spec.name))));
     let outcome = run_campaign(&spec, &opts)?;
 
     // Result table: deterministic columns only; timings live in the
@@ -282,19 +250,17 @@ fn run(args: Vec<String>) -> Result<ExitCode, String> {
     }
     if let Some(out) = &opts.out {
         println!("\nresults: {}", out.display());
-        if let Some((_, n)) = opts.shard {
-            println!("(shard file — assemble the campaign with `ntg-sweep merge` once all {n} shards are done)");
-        }
     }
     let budget = std::env::var("NTG_STORE_BUDGET")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(DEFAULT_STORE_BUDGET);
-    if outcome.cache.store_bytes > budget {
+    if let (Some(base), true) = (&opts.store, outcome.cache.store_bytes > budget) {
         eprintln!(
             "ntg-sweep: warning: artifact store holds {} bytes (budget {budget}); \
-             prune with `ntg-sweep --store-gc {budget}`",
-            outcome.cache.store_bytes
+             prune with `ntg-sweep store gc --budget {budget} --store {}`",
+            outcome.cache.store_bytes,
+            base.display()
         );
     }
     Ok(if failures == 0 {
@@ -468,7 +434,9 @@ fn job_state(server: &str, id: &str) -> Result<(String, Option<String>), String>
 /// exists, so this prints an event as it happens and returns one round
 /// trip after the terminal one, with no sleep here.
 fn run_watch(args: Vec<String>) -> Result<ExitCode, String> {
-    let (server, id) = parse_server_and_id(args, "watch")?;
+    let Some((server, id)) = parse_server_and_id(args, "watch")? else {
+        return Ok(ExitCode::SUCCESS);
+    };
     let failed = |msg: &str| Err(format!("watch: job {id} failed: {msg}"));
     let mut from = 0usize;
     loop {
@@ -580,14 +548,18 @@ fn run_fetch(args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn parse_server_and_id(args: Vec<String>, cmd: &str) -> Result<(String, String), String> {
+/// `--server ADDR JOB_ID`; `None` once `--help` has printed the usage.
+fn parse_server_and_id(args: Vec<String>, cmd: &str) -> Result<Option<(String, String)>, String> {
     let mut server: Option<String> = None;
     let mut id: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--server" => server = Some(take(&mut it, "--server")?),
-            "-h" | "--help" => print!("{USAGE}"),
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return Ok(None);
+            }
             other if other.starts_with('-') => {
                 return Err(format!("{cmd}: unknown option `{other}` (see --help)"));
             }
@@ -598,10 +570,10 @@ fn parse_server_and_id(args: Vec<String>, cmd: &str) -> Result<(String, String),
             }
         }
     }
-    Ok((
+    Ok(Some((
         normalize_addr(&server.ok_or(format!("{cmd}: --server is required"))?),
         id.ok_or(format!("{cmd}: job id is required"))?,
-    ))
+    )))
 }
 
 /// `ntg-sweep store stats|gc ...`
@@ -610,6 +582,10 @@ fn run_store(args: Vec<String>) -> Result<ExitCode, String> {
         .first()
         .cloned()
         .ok_or("store: expected `stats` or `gc`")?;
+    if matches!(sub.as_str(), "-h" | "--help") {
+        print!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
     let mut store_flag: Option<PathBuf> = None;
     let mut budget: Option<u64> = None;
     let mut dry_run = false;
@@ -657,67 +633,38 @@ fn run_store(args: Vec<String>) -> Result<ExitCode, String> {
         }
         "gc" => {
             let budget = budget.ok_or("store gc: --budget is required")?;
-            gc_store(&base, budget, dry_run)
+            let store = DiskStore::open(&base)?;
+            let stats = store.gc(budget, dry_run);
+            let verb = if dry_run { "would prune" } else { "pruned" };
+            println!(
+                "store {}: {verb} {} artifact(s), {} {} bytes, {} bytes {}",
+                store.root().display(),
+                stats.removed,
+                if dry_run { "freeing" } else { "freed" },
+                stats.freed_bytes,
+                stats.remaining_bytes,
+                if dry_run { "would remain" } else { "remain" },
+            );
+            Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("store: unknown subcommand `{other}` (see --help)")),
     }
 }
 
-fn gc_store(base: &PathBuf, budget: u64, dry_run: bool) -> Result<ExitCode, String> {
-    let store = DiskStore::open(base)?;
-    let stats = store.gc(budget, dry_run);
-    let verb = if dry_run { "would prune" } else { "pruned" };
-    println!(
-        "store {}: {verb} {} artifact(s), {} {} bytes, {} bytes {}",
-        store.root().display(),
-        stats.removed,
-        if dry_run { "freeing" } else { "freed" },
-        stats.freed_bytes,
-        stats.remaining_bytes,
-        if dry_run { "would remain" } else { "remain" },
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `--dry-run`: the expanded job list, per-job shard assignment (when
-/// `--shard` is given), how much artifact reuse the cache/store will
-/// see — how many distinct reference traces and TG program images the
-/// campaign actually builds — and how many simulations a cold run
-/// executes, how many of them CPU-model runs and traced.
-fn print_dry_run(
-    spec: &CampaignSpec,
-    jobs: &[ntg_explore::JobSpec],
-    shard: Option<(usize, usize)>,
-) {
+/// `--dry-run`: the expanded job list, how much artifact reuse the
+/// cache/store will see — how many distinct reference traces and TG
+/// program images the campaign actually builds — and how many
+/// simulations a cold run executes, how many of them CPU-model runs and
+/// traced.
+fn print_dry_run(spec: &CampaignSpec, jobs: &[ntg_explore::JobSpec]) {
     println!(
         "campaign `{}` ({} jobs, fingerprint {:016x}):",
         spec.name,
         jobs.len(),
         spec.fingerprint()
     );
-    let mut in_shard = 0usize;
     for j in jobs {
-        match shard {
-            // Jobs are dealt round-robin by id: shard I of N runs ids
-            // with id % N == I - 1.
-            Some((i, n)) => {
-                let assigned = j.id % n + 1;
-                let marker = if assigned == i {
-                    in_shard += 1;
-                    '*'
-                } else {
-                    ' '
-                };
-                println!("  [{:>3}] {marker} shard {assigned}/{n}  {}", j.id, j.key());
-            }
-            None => println!("  [{:>3}] {}", j.id, j.key()),
-        }
-    }
-    if let Some((i, n)) = shard {
-        println!(
-            "shard {i}/{n} runs {in_shard} of {} job(s) (marked *)",
-            jobs.len()
-        );
+        println!("  [{:>3}] {}", j.id, j.key());
     }
 
     // Store-reuse estimate, mirroring the runner's cache keys: reference
@@ -759,7 +706,7 @@ fn print_dry_run(
         image_keys.len()
     );
 
-    // What a cold, unsharded run simulates: every job's repeats, where a
+    // What a cold run simulates: every job's repeats, where a
     // trace producer's first repeat is its point's traced reference run
     // (the runner's own predicate), plus one extra traced reference run
     // per consumed trace that no job of the campaign produces.
@@ -787,63 +734,6 @@ fn print_dry_run(
         ));
     }
     println!("{line}");
-}
-
-/// `ntg-sweep merge --out PATH SHARD_FILE_OR_DIR...` — a directory
-/// argument stands for every shard file inside it, in sorted order.
-fn run_merge(args: Vec<String>) -> Result<ExitCode, String> {
-    let mut out: Option<PathBuf> = None;
-    let mut shards: Vec<PathBuf> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(PathBuf::from(
-                    it.next().ok_or("--out needs a value".to_string())?,
-                ));
-            }
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("merge: unknown option `{flag}` (see --help)"));
-            }
-            path => {
-                let path = PathBuf::from(path);
-                if path.is_dir() {
-                    shards.extend(collect_shard_files(&path)?);
-                } else {
-                    shards.push(path);
-                }
-            }
-        }
-    }
-    let out = out.ok_or("merge: --out is required")?;
-    let summary = merge_shards(&shards, &out)?;
-    println!(
-        "campaign `{}`: merged {} shard file(s) into {} ({} jobs)",
-        summary.header.name,
-        summary.shards,
-        out.display(),
-        summary.jobs
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Parses `I/N` for `--shard`; 1-based, `1 <= I <= N`.
-fn parse_shard(s: &str) -> Result<(usize, usize), String> {
-    let (i, n) = s
-        .split_once('/')
-        .ok_or(format!("--shard: expected I/N, got `{s}`"))?;
-    let i: usize = i.parse().map_err(|e| format!("--shard: {e}"))?;
-    let n: usize = n.parse().map_err(|e| format!("--shard: {e}"))?;
-    if n == 0 || i == 0 || i > n {
-        return Err(format!(
-            "--shard: index must satisfy 1 <= I <= N, got {i}/{n}"
-        ));
-    }
-    Ok((i, n))
 }
 
 /// A job fails when it errored or when its golden-model check found a
@@ -992,5 +882,13 @@ mod tests {
             ..ok
         };
         assert!(job_failed(&errored));
+    }
+
+    #[test]
+    fn subcommand_help_succeeds() {
+        for cmd in ["submit", "watch", "fetch", "store"] {
+            let args = vec![cmd.to_string(), "--help".to_string()];
+            assert!(run(args).is_ok(), "`ntg-sweep {cmd} --help` must succeed");
+        }
     }
 }

@@ -35,7 +35,7 @@
 //! (`FIRST_WATCH`) and doubles its wait up to 4 ms (`STOP_WATCH`), so
 //! a stop waits no longer than about the daemon's uptime: a start +
 //! stop takes ~0.7 ms, and a daemon up for more than ~8 ms costs
-//! ~250 wake-ups a second (DESIGN §4.17). That watch is the only timed
+//! ~250 wake-ups a second (DESIGN §4.15). That watch is the only timed
 //! wait on the healthy path of this module, and it is off the request
 //! path.
 //! It exists only because the signal is a flag: a stop handle whose
@@ -48,7 +48,7 @@
 //! a blocking accept a request costs ~0.15 ms, a served 54-job campaign
 //! makes ~135 of them (~20 ms of 1.7 s), and a 1 MiB blob GET already
 //! outruns `DiskStore` get, so a connection pool with stale-connection
-//! retry has nothing left to buy (DESIGN §4.17).
+//! retry has nothing left to buy (DESIGN §4.15).
 //!
 //! [`HttpRemote`]: crate::remote::HttpRemote
 

@@ -18,9 +18,7 @@
 //! one `run_campaign` call with one shared artifact cache, writing the
 //! canonical JSONL and both sidecars into the job's directory. Its
 //! workers take jobs from one queue in the engine's dispatch order, so
-//! a worker is idle only when no job is left. Sharding
-//! (`ntg-sweep --shard` + `merge`) stays a CLI feature for spreading a
-//! campaign over processes; the daemon never shards.
+//! a worker is idle only when no job is left.
 //!
 //! ## Progress
 //!

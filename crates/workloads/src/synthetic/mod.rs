@@ -8,7 +8,7 @@
 //! transpose, tornado, nearest-neighbor, hotspot) and a temporal
 //! [`ShapeKind`] (Bernoulli at rate λ, periodic bursts, on/off square
 //! waves), seeded per master so campaigns stay byte-identical across
-//! host threads and shards.
+//! host threads.
 //!
 //! The compact descriptor grammar used by campaign specs and the
 //! `ntg-sweep` CLI is

@@ -90,8 +90,8 @@ impl std::str::FromStr for ShapeKind {
 
 /// A strictly increasing stream of absolute injection cycles for one
 /// master. Draws from the caller's PRNG (random shapes only); yields
-/// identical sequences for identical seeds regardless of host threads,
-/// shards or cycle skipping.
+/// identical sequences for identical seeds regardless of host threads
+/// or cycle skipping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Schedule {
     kind: ShapeKind,

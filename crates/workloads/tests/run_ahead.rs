@@ -1,4 +1,4 @@
-//! Core run-ahead (DESIGN §4.19) at platform level: a `CpuCore` that
+//! Core run-ahead (DESIGN §4.17) at platform level: a `CpuCore` that
 //! executes a whole compute burst per visit must leave everything a run
 //! reports — and everything an *incomplete* run reports — exactly where
 //! the one-instruction-per-tick core left it. The numbers pinned below
