@@ -62,6 +62,14 @@ echo "==> fabric kernels: crossbar and switch oracles under a timeout"
 timeout 300 cargo test -q -p ntg-noc --lib decode_pass_matches_the_per_lane_scan_reference
 timeout 300 cargo test -q -p ntg-noc --lib switch_kernel_matches_the_nested_scan_reference
 
+# The run loop's scheduler against its naive reference (an ordered map
+# of wakes plus running and due sets), long variant: ten times the
+# generated operation sequences of the default suite, with wakes on
+# every wheel level, a full lap ahead and past the horizon. Release and
+# bounded, like the fabric oracles.
+echo "==> scheduler oracle: ActiveSet against the naive reference (long, release)"
+timeout 300 cargo test --release -q -p ntg-sim --lib active_set_matches_the_naive_reference_long -- --ignored
+
 # The hint contract on generated inputs: generated TG programs and
 # stochastic sources on every fabric, complete and capped, against the
 # dense `step` oracle. Bounded: a lost wake that livelocks the engine

@@ -141,30 +141,41 @@ impl AmbaBus {
         &self.occupancy
     }
 
-    fn arbitrate(&self, net: &LinkArena, now: Cycle) -> Option<usize> {
-        let n = self.masters.len();
+    /// The first requester at or after `start` in wrap-around order,
+    /// and whether a second one lost to it. One pass, stopping at the
+    /// second requester.
+    fn first_requester(&self, net: &LinkArena, now: Cycle, start: usize) -> Option<(usize, bool)> {
+        let mut winner = None;
+        for m in (start..self.masters.len()).chain(0..start) {
+            if self.masters[m].has_request(net, now) {
+                if winner.is_some() {
+                    return winner.map(|w| (w, true));
+                }
+                winner = Some(m);
+            }
+        }
+        winner.map(|w| (w, false))
+    }
+
+    /// The master granted this cycle and whether the grant was
+    /// contended.
+    fn arbitrate(&self, net: &LinkArena, now: Cycle) -> Option<(usize, bool)> {
         let start = match self.arbitration {
             Arbitration::RoundRobin => self.rr_next,
             Arbitration::FixedPriority => 0,
         };
-        (0..n)
-            .map(|i| (start + i) % n)
-            .find(|&m| self.masters[m].has_request(net, now))
+        self.first_requester(net, now, start)
     }
 
-    fn start_transfer(&mut self, net: &mut LinkArena, master: usize, now: Cycle) {
+    /// Moves `master`'s request onto the bus; `contended` says whether
+    /// another master was requesting this cycle.
+    fn start_transfer(&mut self, net: &mut LinkArena, master: usize, contended: bool, now: Cycle) {
         // Contention bookkeeping, read before acceptance consumes the
-        // request: how long the winner waited, and whether anyone lost
-        // this round of arbitration.
+        // request: how long the winner waited.
         let stall = now
             - self.masters[master]
                 .request_visible_at(net)
                 .expect("arbitrated request must still be visible");
-        let contended = self
-            .masters
-            .iter()
-            .enumerate()
-            .any(|(m, port)| m != master && port.has_request(net, now));
         let req = self.masters[master]
             .accept_request(net, now)
             .expect("arbitrated request must still be visible");
@@ -215,9 +226,9 @@ impl Component<LinkArena> for AmbaBus {
     fn tick(&mut self, now: Cycle, net: &mut LinkArena) {
         match self.state {
             BusState::Idle => {
-                if let Some(master) = self.arbitrate(net, now) {
+                if let Some((master, contended)) = self.arbitrate(net, now) {
                     if self.extra_grant_cycles == 0 {
-                        self.start_transfer(net, master, now);
+                        self.start_transfer(net, master, contended, now);
                     } else {
                         self.state = BusState::Granting {
                             master,
@@ -228,7 +239,13 @@ impl Component<LinkArena> for AmbaBus {
             }
             BusState::Granting { master, until } => {
                 if now >= until {
-                    self.start_transfer(net, master, now);
+                    // Contention is judged at grant time: a pass from
+                    // the granted master (whose request is still
+                    // visible) finds whether anyone else requests now.
+                    let contended = self
+                        .first_requester(net, now, master)
+                        .is_some_and(|(_, contended)| contended);
+                    self.start_transfer(net, master, contended, now);
                 }
                 self.stats.busy_cycles += 1;
             }
@@ -535,6 +552,30 @@ mod tests {
             }
         }
         assert_eq!(at, Some(9), "6-cycle base + 3 arbitration cycles");
+    }
+
+    #[test]
+    fn extra_grant_cycles_judge_contention_at_grant_time() {
+        // Master 0 wins alone at cycle 1 and is granted at cycle 4; a
+        // rival request visible by then makes the grant contended, one
+        // visible only after it does not.
+        for (rival_at, conflicts) in [(2, 1), (4, 0)] {
+            let mut r = rig(2);
+            r.bus.set_extra_grant_cycles(3);
+            r.cpus[0].assert_request(&mut r.links, OcpRequest::read(0x1000), 0);
+            for now in 0..40 {
+                if now == rival_at {
+                    r.cpus[1].assert_request(&mut r.links, OcpRequest::read(0x1004), now);
+                }
+                step(&mut r, now);
+                for c in 0..2 {
+                    r.cpus[c].take_response(&mut r.links, now);
+                }
+            }
+            let c = r.bus.contention();
+            assert_eq!(c.links[0].grants + c.links[1].grants, 2);
+            assert_eq!(c.conflicts, conflicts, "rival asserted at cycle {rival_at}");
+        }
     }
 
     #[test]

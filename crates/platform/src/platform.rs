@@ -170,30 +170,10 @@ enum Master {
 }
 
 impl Master {
-    fn as_component(&mut self) -> &mut dyn Component<LinkArena> {
-        match self {
-            Master::Cpu(c) => c.as_mut(),
-            Master::Tg(t) => t,
-            Master::TgMulti(m) => m.as_mut(),
-            Master::Stochastic(s) => s.as_mut(),
-            Master::Custom(c) => &mut **c,
-        }
-    }
-
-    fn as_component_ref(&self) -> &dyn Component<LinkArena> {
-        match self {
-            Master::Cpu(c) => c.as_ref(),
-            Master::Tg(t) => t,
-            Master::TgMulti(m) => m.as_ref(),
-            Master::Stochastic(s) => s.as_ref(),
-            Master::Custom(c) => &**c,
-        }
-    }
-
-    /// Direct-dispatch tick: the run loop calls this once per master per
-    /// cycle; matching on the enum (instead of going through
-    /// `as_component`'s `&mut dyn Component`) lets the common
-    /// [`TgCore::tick`] inline into the loop.
+    /// Direct-dispatch tick: the run loop calls this once per visited
+    /// master; matching on the enum (instead of going through a
+    /// `&mut dyn Component`) lets the common [`TgCore::tick`] inline
+    /// into the loop. `next_activity` and `skip` dispatch the same way.
     #[inline]
     fn tick(&mut self, now: Cycle, net: &mut LinkArena) {
         match self {
@@ -202,6 +182,28 @@ impl Master {
             Master::TgMulti(m) => m.tick(now, net),
             Master::Stochastic(s) => s.tick(now, net),
             Master::Custom(c) => c.tick(now, net),
+        }
+    }
+
+    #[inline]
+    fn next_activity(&self, now: Cycle, net: &LinkArena) -> Activity {
+        match self {
+            Master::Cpu(c) => c.next_activity(now, net),
+            Master::Tg(t) => t.next_activity(now, net),
+            Master::TgMulti(m) => m.next_activity(now, net),
+            Master::Stochastic(s) => s.next_activity(now, net),
+            Master::Custom(c) => c.next_activity(now, net),
+        }
+    }
+
+    #[inline]
+    fn skip(&mut self, now: Cycle, next: Cycle, net: &mut LinkArena) {
+        match self {
+            Master::Cpu(c) => c.skip(now, next, net),
+            Master::Tg(t) => t.skip(now, next, net),
+            Master::TgMulti(m) => m.skip(now, next, net),
+            Master::Stochastic(s) => s.skip(now, next, net),
+            Master::Custom(c) => c.skip(now, next, net),
         }
     }
 
@@ -268,26 +270,28 @@ enum Slave {
 }
 
 impl Slave {
-    fn as_component(&mut self) -> &mut dyn Component<LinkArena> {
-        match self {
-            Slave::Mem(m) => m,
-            Slave::Sem(s) => s,
-        }
-    }
-
-    fn as_component_ref(&self) -> &dyn Component<LinkArena> {
-        match self {
-            Slave::Mem(m) => m,
-            Slave::Sem(s) => s,
-        }
-    }
-
     /// Direct-dispatch tick; see [`Master::tick`].
     #[inline]
     fn tick(&mut self, now: Cycle, net: &mut LinkArena) {
         match self {
             Slave::Mem(m) => m.tick(now, net),
             Slave::Sem(s) => s.tick(now, net),
+        }
+    }
+
+    #[inline]
+    fn next_activity(&self, now: Cycle, net: &LinkArena) -> Activity {
+        match self {
+            Slave::Mem(m) => m.next_activity(now, net),
+            Slave::Sem(s) => s.next_activity(now, net),
+        }
+    }
+
+    #[inline]
+    fn skip(&mut self, now: Cycle, next: Cycle, net: &mut LinkArena) {
+        match self {
+            Slave::Mem(m) => m.skip(now, next, net),
+            Slave::Sem(s) => s.skip(now, next, net),
         }
     }
 
@@ -832,19 +836,18 @@ impl Platform {
             sched.advance(start_now);
         }
         for (m, master) in self.masters.iter().enumerate() {
-            let hint = master
-                .as_component_ref()
-                .next_activity(start_now, &self.net);
+            let hint = master.next_activity(start_now, &self.net);
             sched.seed(m as u32, hint, start_now);
         }
         for (s, slave) in self.slaves.iter().enumerate() {
-            let hint = slave.as_component_ref().next_activity(start_now, &self.net);
+            let hint = slave.next_activity(start_now, &self.net);
             sched.seed((n_m + s) as u32, hint, start_now);
         }
         // O(1) gate in front of the full quiesce predicate: quiescence
         // requires every master halted, and halting only happens inside
-        // a master's tick, where the counter is maintained.
-        let mut live_masters = self.masters.iter().filter(|m| !m.halted()).count();
+        // a master's tick, after which the count is redone.
+        let live = |masters: &[Master]| masters.iter().filter(|m| !m.halted()).count();
+        let mut live_masters = live(&self.masters);
         self.net.set_wake_logging(true);
         self.interconnect.set_event_driven(true);
         let ticked_before = self.ticked_cycles;
@@ -856,16 +859,22 @@ impl Platform {
             let now = self.now;
             if sched.idle() {
                 // Everything with timed work sleeps in the wheel, so
-                // the fabric is the only possible actor: one hint check
-                // decides whether the platform can jump. Sleepers catch
+                // the fabric is the only possible actor: its hint
+                // decides whether the platform can jump, and only then
+                // is the wheel's minimum worth computing. Sleepers catch
                 // up lazily when next visited; only the fabric is
                 // fast-forwarded eagerly.
-                let mut target = sched.next_wake().unwrap_or(max_cycles).min(max_cycles);
-                match self.interconnect.next_activity(now, &self.net) {
-                    Activity::Busy => target = now,
-                    Activity::IdleUntil(w) => target = target.min(w.max(now)),
-                    Activity::Drained => {}
-                }
+                let fabric_until = match self.interconnect.next_activity(now, &self.net) {
+                    Activity::Busy => now,
+                    Activity::IdleUntil(w) => w.max(now),
+                    Activity::Drained => Cycle::MAX,
+                };
+                let target = if fabric_until > now {
+                    let wake = sched.next_wake().unwrap_or(max_cycles);
+                    wake.min(max_cycles).min(fabric_until)
+                } else {
+                    now
+                };
                 if target > now {
                     self.interconnect.skip(now, target, &mut self.net);
                     self.skipped_cycles += target - now;
@@ -875,44 +884,32 @@ impl Platform {
                     continue;
                 }
             }
-            visit_buf.clear();
-            visit_buf.extend_from_slice(sched.visit(now));
-            let split = visit_buf.partition_point(|&id| (id as usize) < n_m);
+            let split = sched.visit(n_m as u32, &mut visit_buf);
             for &id in &visit_buf[..split] {
-                let i = id as usize;
+                let master = &mut self.masters[id as usize];
                 if let Some(since) = sched.take_catch_up(id, now) {
-                    self.masters[i]
-                        .as_component()
-                        .skip(since, now, &mut self.net);
+                    master.skip(since, now, &mut self.net);
                 }
-                let was_halted = self.masters[i].halted();
-                self.masters[i].tick(now, &mut self.net);
-                if !was_halted && self.masters[i].halted() {
-                    live_masters -= 1;
+                master.tick(now, &mut self.net);
+                if master.halted() {
+                    live_masters = live(&self.masters);
                 }
             }
             self.interconnect.tick(now, &mut self.net);
             for &id in &visit_buf[split..] {
-                let i = id as usize - n_m;
+                let slave = &mut self.slaves[id as usize - n_m];
                 if let Some(since) = sched.take_catch_up(id, now) {
-                    self.slaves[i]
-                        .as_component()
-                        .skip(since, now, &mut self.net);
+                    slave.skip(since, now, &mut self.net);
                 }
-                self.slaves[i].tick(now, &mut self.net);
+                slave.tick(now, &mut self.net);
             }
             let next = now + 1;
-            for &id in &visit_buf {
-                let i = id as usize;
-                let hint = if i < n_m {
-                    self.masters[i]
-                        .as_component_ref()
-                        .next_activity(next, &self.net)
-                } else {
-                    self.slaves[i - n_m]
-                        .as_component_ref()
-                        .next_activity(next, &self.net)
-                };
+            for &id in &visit_buf[..split] {
+                let hint = self.masters[id as usize].next_activity(next, &self.net);
+                sched.reinsert(id, hint, next);
+            }
+            for &id in &visit_buf[split..] {
+                let hint = self.slaves[id as usize - n_m].next_activity(next, &self.net);
                 sched.reinsert(id, hint, next);
             }
             // Producer touches this cycle become visible at `next`;
@@ -927,7 +924,7 @@ impl Platform {
                 if to_fabric {
                     self.interconnect.wake_link(link);
                 } else {
-                    sched.wake(l as u32, next);
+                    sched.wake(l as u32);
                 }
             }
             sched.end_cycle(now);
@@ -941,13 +938,9 @@ impl Platform {
         sched.drain_catch_ups(final_now, |id, since| {
             let i = id as usize;
             if i < n_m {
-                self.masters[i]
-                    .as_component()
-                    .skip(since, final_now, &mut self.net);
+                self.masters[i].skip(since, final_now, &mut self.net);
             } else {
-                self.slaves[i - n_m]
-                    .as_component()
-                    .skip(since, final_now, &mut self.net);
+                self.slaves[i - n_m].skip(since, final_now, &mut self.net);
             }
         });
         self.net.set_wake_logging(false);

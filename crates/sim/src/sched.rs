@@ -11,7 +11,7 @@
 //!   most one pending wake cycle per component;
 //! * [`ActiveSet`] — the scheduler state an engine drives: which
 //!   components run every cycle, which sleep in the wheel, which are
-//!   parked awaiting an inbound event, plus the due queues that wheel
+//!   parked awaiting an inbound event, plus the queued set that wheel
 //!   expiries and cross-component touches feed.
 //!
 //! A component the loop did not visit is *individually* fast-forwarded
@@ -94,6 +94,7 @@ impl WakeWheel {
         self.pos[id as usize] != NONE
     }
 
+    #[inline]
     fn level_slot(&self, wake: Cycle) -> (usize, usize) {
         let delta = wake - self.now;
         let level = match delta {
@@ -109,6 +110,7 @@ impl WakeWheel {
     /// Schedules `id` to wake at absolute cycle `wake` (strictly in the
     /// future; wakes beyond the horizon are clamped to its edge). `id`
     /// must not already be scheduled — [`cancel`](Self::cancel) first.
+    #[inline]
     pub fn insert(&mut self, id: u32, wake: Cycle) {
         debug_assert!(self.pos[id as usize] == NONE, "double insert");
         debug_assert!(wake > self.now, "wake must be in the future");
@@ -129,6 +131,7 @@ impl WakeWheel {
     }
 
     /// Removes `id`'s pending wake, if any; returns whether one existed.
+    #[inline]
     pub fn cancel(&mut self, id: u32) -> bool {
         let i = id as usize;
         let pos = self.pos[i];
@@ -154,8 +157,13 @@ impl WakeWheel {
     }
 
     fn slot_min(&self, level: usize, slot: usize) -> Cycle {
-        let mut best = Cycle::MAX;
         let mut id = self.head[level][slot];
+        if level == 0 {
+            // Level-0 entries lie less than 64 cycles ahead of the
+            // cursor, so the entries of one slot share their wake.
+            return self.wake[id as usize];
+        }
+        let mut best = Cycle::MAX;
         while id != NONE {
             best = best.min(self.wake[id as usize]);
             id = self.next[id as usize];
@@ -200,22 +208,55 @@ impl WakeWheel {
         head
     }
 
-    /// Advances the cursor to `to` and appends every entry due at (or
-    /// before) `to` onto `due`, unlinked from the wheel.
+    /// Advances the cursor to `to` and hands every entry due at (or
+    /// before) `to` to `due`, unlinked from the wheel.
     ///
     /// The caller must not advance past a pending wake
     /// (`to <= next_wake()`), which the run loop guarantees by
     /// construction: jumps target the wheel minimum and ticks advance
     /// one cycle at a time.
-    pub fn expire(&mut self, to: Cycle, due: &mut Vec<u32>) {
+    ///
+    /// The common tick touches nothing: an upper level's cursor slot
+    /// needs a cascade only when `to` enters a new window of that level
+    /// (between window changes it can hold only entries a full lap
+    /// ahead, see [`cascade`](Self::cascade)), and level 0's cursor slot
+    /// is empty unless something is due at `to`. Both rare cases run
+    /// out of line.
+    #[inline]
+    pub fn expire(&mut self, to: Cycle, mut due: impl FnMut(u32)) {
         debug_assert!(to >= self.now);
         debug_assert!(self.next_wake().is_none_or(|w| w >= to), "skipped a wake");
-        self.now = to;
-        // Cascade each upper level's cursor slot, highest first: its
-        // window has arrived, so entries redistribute to lower levels
-        // (or fall due); entries a full lap ahead re-land in place.
+        let from = std::mem::replace(&mut self.now, to);
+        if (from ^ to) >> SLOT_BITS != 0 {
+            self.cascade(from, to, &mut due);
+        }
+        let cursor = (to & (SLOTS as u64 - 1)) as usize;
+        if self.occ[0] & (1 << cursor) != 0 {
+            self.drain_due(cursor, to, &mut due);
+        }
+    }
+
+    /// Redistributes the cursor slot of every upper level whose window
+    /// `to` entered (coming from `from`), highest level first: the
+    /// window has arrived, so its entries move to lower levels or fall
+    /// due.
+    ///
+    /// Once a level's cursor slot has cascaded, nothing in the same
+    /// window can land there again: an insert at level `l` lies at
+    /// least `64^l` cycles ahead, so it reaches the cursor slot only a
+    /// full lap (64 windows) ahead, where it waits untouched until the
+    /// cursor comes round to it — the next window change that cascades
+    /// this slot. A higher window change implies every lower one, so a
+    /// level-3 entry redistributed into level 2's cursor slot is
+    /// cascaded in the same pass.
+    #[inline(never)]
+    fn cascade(&mut self, from: Cycle, to: Cycle, due: &mut impl FnMut(u32)) {
         for level in (1..LEVELS).rev() {
-            let cursor = ((to >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+            let shift = SLOT_BITS * level as u32;
+            if from >> shift == to >> shift {
+                continue;
+            }
+            let cursor = ((to >> shift) & (SLOTS as u64 - 1)) as usize;
             if self.occ[level] & (1 << cursor) == 0 {
                 continue;
             }
@@ -227,26 +268,28 @@ impl WakeWheel {
                 self.len -= 1;
                 let w = self.wake[i];
                 if w <= to {
-                    due.push(id);
+                    due(id);
                 } else {
                     self.insert(id, w);
                 }
                 id = after;
             }
         }
-        // Level 0's cursor slot holds exactly the entries due at `to`.
-        let cursor = (to & (SLOTS as u64 - 1)) as usize;
-        if self.occ[0] & (1 << cursor) != 0 {
-            let mut id = self.detach(0, cursor);
-            while id != NONE {
-                let i = id as usize;
-                let after = self.next[i];
-                debug_assert_eq!(self.wake[i], to);
-                self.pos[i] = NONE;
-                self.len -= 1;
-                due.push(id);
-                id = after;
-            }
+    }
+
+    /// Unlinks level 0's cursor slot — exactly the entries due at `to`
+    /// — into `due`.
+    #[inline(never)]
+    fn drain_due(&mut self, cursor: usize, to: Cycle, due: &mut impl FnMut(u32)) {
+        let mut id = self.detach(0, cursor);
+        while id != NONE {
+            let i = id as usize;
+            let after = self.next[i];
+            debug_assert_eq!(self.wake[i], to);
+            self.pos[i] = NONE;
+            self.len -= 1;
+            due(id);
+            id = after;
         }
     }
 }
@@ -255,21 +298,29 @@ impl WakeWheel {
 ///
 /// Every component is either *running* (visited every cycle) or *idle*
 /// (skipped until a wheel expiry or an inbound cross-component touch
-/// re-queues it). Idle components carry a `since` cycle — the first
+/// queues it). Idle components carry a `since` cycle — the first
 /// cycle they have not yet processed — and are caught up with one
 /// [`Component::skip`] call when next visited, so per-cycle bookkeeping
 /// stays bit-identical to ticking it every cycle.
 ///
+/// The running and queued sets are bitsets over component ids, so a
+/// visit set comes out in id order with no sort, and membership tests
+/// are one load. `queued` holds the ids due at the cycle about to be
+/// visited; [`visit`](Self::visit) empties it, and from then until
+/// [`end_cycle`](Self::end_cycle) it collects the ids due at the next
+/// cycle.
+///
 /// The driving loop per ticked cycle `now`:
 ///
-/// 1. [`visit`](Self::visit) — the sorted set of running + due ids;
-///    for each, [`take_catch_up`](Self::take_catch_up) then `tick`;
+/// 1. [`visit`](Self::visit) — fills the engine's buffer with the
+///    sorted set of running + due ids; for each,
+///    [`take_catch_up`](Self::take_catch_up) then `tick`;
 /// 2. [`reinsert`](Self::reinsert) each visited id with its fresh
 ///    `next_activity(now + 1)` hint;
 /// 3. route the cycle's cross-component touches (for OCP systems,
-///    the link arena's wake tokens) into
-///    [`wake`](Self::wake)`(id, now + 1)`;
-/// 4. [`end_cycle`](Self::end_cycle) to queue the next cycle's due set.
+///    the link arena's wake tokens) into [`wake`](Self::wake);
+/// 4. [`end_cycle`](Self::end_cycle) to queue the next cycle's wheel
+///    expiries.
 ///
 /// When [`idle`](Self::idle) reports true the engine may jump straight
 /// to [`next_wake`](Self::next_wake) via [`advance`](Self::advance) —
@@ -280,18 +331,39 @@ impl WakeWheel {
 #[derive(Debug)]
 pub struct ActiveSet {
     wheel: WakeWheel,
-    /// Index into `running`, or `NONE` when the component is idle.
-    running_pos: Vec<u32>,
+    /// Components visited every cycle, one bit per id.
+    running: Vec<u64>,
+    running_len: usize,
+    /// Components queued for the next visit, one bit per id. A wheel
+    /// entry and a queued bit exclude each other.
+    queued: Vec<u64>,
+    queued_len: usize,
     /// First unprocessed cycle of an idle component.
     since: Vec<Cycle>,
-    /// Cycle the component is queued (due/next_due) for; `Cycle::MAX`
-    /// when unqueued. Dedups wheel expiries against event wakes.
-    queued_at: Vec<Cycle>,
-    running: Vec<u32>,
-    due: Vec<u32>,
-    next_due: Vec<u32>,
-    visit: Vec<u32>,
     visited: u64,
+}
+
+/// Sets `id`'s bit; returns whether it was clear.
+#[inline]
+fn set_bit(bits: &mut [u64], id: u32) -> bool {
+    let (word, mask) = (&mut bits[(id >> 6) as usize], 1 << (id & 63));
+    let was_clear = *word & mask == 0;
+    *word |= mask;
+    was_clear
+}
+
+/// Clears `id`'s bit; returns whether it was set.
+#[inline]
+fn clear_bit(bits: &mut [u64], id: u32) -> bool {
+    let (word, mask) = (&mut bits[(id >> 6) as usize], 1 << (id & 63));
+    let was_set = *word & mask != 0;
+    *word &= !mask;
+    was_set
+}
+
+#[inline]
+fn test_bit(bits: &[u64], id: u32) -> bool {
+    bits[(id >> 6) as usize] & (1 << (id & 63)) != 0
 }
 
 impl ActiveSet {
@@ -299,42 +371,35 @@ impl ActiveSet {
     /// cycle 0 with no wake — call [`seed`](Self::seed) for each id
     /// before the first cycle.
     pub fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
         ActiveSet {
             wheel: WakeWheel::new(n),
-            running_pos: vec![NONE; n],
+            running: vec![0; words],
+            running_len: 0,
+            queued: vec![0; words],
+            queued_len: 0,
             since: vec![0; n],
-            queued_at: vec![Cycle::MAX; n],
-            running: Vec::with_capacity(n),
-            due: Vec::with_capacity(n),
-            next_due: Vec::with_capacity(n),
-            visit: Vec::with_capacity(n),
             visited: 0,
         }
     }
 
     /// Number of component ids managed.
     pub fn components(&self) -> usize {
-        self.running_pos.len()
+        self.since.len()
     }
 
+    #[inline]
     fn make_running(&mut self, id: u32) {
-        if self.running_pos[id as usize] == NONE {
-            self.running_pos[id as usize] = self.running.len() as u32;
-            self.running.push(id);
+        if set_bit(&mut self.running, id) {
+            self.running_len += 1;
         }
     }
 
-    fn unrun(&mut self, id: u32) {
-        let pos = self.running_pos[id as usize];
-        if pos == NONE {
-            return;
-        }
-        let last = *self.running.last().expect("running list is non-empty");
-        self.running.swap_remove(pos as usize);
-        if last != id {
-            self.running_pos[last as usize] = pos;
-        }
-        self.running_pos[id as usize] = NONE;
+    #[inline]
+    fn queue(&mut self, id: u32) {
+        let fresh = set_bit(&mut self.queued, id);
+        debug_assert!(fresh, "queued twice");
+        self.queued_len += 1;
     }
 
     /// Classifies `id`'s initial hint, evaluated at cycle `at` (the
@@ -343,10 +408,7 @@ impl ActiveSet {
         self.since[id as usize] = at;
         match hint {
             Activity::Busy => self.make_running(id),
-            Activity::IdleUntil(w) if w <= at => {
-                self.queued_at[id as usize] = at;
-                self.due.push(id);
-            }
+            Activity::IdleUntil(w) if w <= at => self.queue(id),
             Activity::IdleUntil(w) if w != Cycle::MAX => self.wheel.insert(id, w),
             Activity::IdleUntil(_) | Activity::Drained => {}
         }
@@ -354,8 +416,9 @@ impl ActiveSet {
 
     /// True when no component runs this cycle and none is due — the
     /// engine may [`advance`](Self::advance) to the next wake.
+    #[inline]
     pub fn idle(&self) -> bool {
-        self.running.is_empty() && self.due.is_empty()
+        self.running_len == 0 && self.queued_len == 0
     }
 
     /// The earliest pending wheel wake, or `None` when nothing sleeps
@@ -364,31 +427,37 @@ impl ActiveSet {
         self.wheel.next_wake()
     }
 
-    /// Builds (and returns) the sorted visit set for cycle `now`:
-    /// every running component plus everything due. Clears the due
-    /// queue; visited ids keep their state until
+    /// Fills `buf` with the visit set of the cycle about to be ticked
+    /// — every running component plus everything due, in id order —
+    /// and returns how many of its ids lie below `split` (the engine's
+    /// masters come first in id order, so that prefix is the master
+    /// phase). Empties the queue; visited ids keep their state until
     /// [`reinsert`](Self::reinsert).
-    pub fn visit(&mut self, now: Cycle) -> &[u32] {
-        self.visit.clear();
-        self.visit.extend_from_slice(&self.running);
-        for &id in &self.due {
-            debug_assert_eq!(self.queued_at[id as usize], now);
-            self.queued_at[id as usize] = Cycle::MAX;
-            self.visit.push(id);
+    #[inline]
+    pub fn visit(&mut self, split: u32, buf: &mut Vec<u32>) -> usize {
+        buf.clear();
+        let mut below = 0;
+        for (word, (&running, queued)) in self.running.iter().zip(&mut self.queued).enumerate() {
+            let mut bits = running | std::mem::take(queued);
+            while bits != 0 {
+                let id = (word as u32) << 6 | bits.trailing_zeros();
+                buf.push(id);
+                below += (id < split) as usize;
+                bits &= bits - 1;
+            }
         }
-        self.due.clear();
-        self.visit.sort_unstable();
-        debug_assert!(self.visit.windows(2).all(|w| w[0] != w[1]));
-        self.visited += self.visit.len() as u64;
-        &self.visit
+        self.queued_len = 0;
+        self.visited += buf.len() as u64;
+        below
     }
 
     /// If `id` slept through cycles it has not yet processed, returns
     /// the first such cycle and marks the span handled — the caller
     /// must issue `skip(since, now)` before ticking at `now`.
+    #[inline]
     pub fn take_catch_up(&mut self, id: u32, now: Cycle) -> Option<Cycle> {
         let i = id as usize;
-        if self.running_pos[i] != NONE || self.since[i] >= now {
+        if test_bit(&self.running, id) || self.since[i] >= now {
             return None;
         }
         let s = self.since[i];
@@ -400,47 +469,42 @@ impl ActiveSet {
     /// keeps it running, a finite future wake sleeps it in the wheel,
     /// an immediate wake queues it for `next`, and `Drained` or a
     /// passive wait parks it until an inbound touch.
+    #[inline]
     pub fn reinsert(&mut self, id: u32, hint: Activity, next: Cycle) {
-        let i = id as usize;
         debug_assert!(!self.wheel.contains(id));
-        debug_assert_eq!(self.queued_at[i], Cycle::MAX);
         match hint {
             Activity::Busy => {
                 self.make_running(id);
                 return;
             }
-            Activity::IdleUntil(w) if w <= next => {
-                self.queued_at[i] = next;
-                self.next_due.push(id);
-            }
+            Activity::IdleUntil(w) if w <= next => self.queue(id),
             Activity::IdleUntil(w) if w != Cycle::MAX => self.wheel.insert(id, w),
             Activity::IdleUntil(_) | Activity::Drained => {}
         }
-        self.unrun(id);
-        self.since[i] = next;
+        if clear_bit(&mut self.running, id) {
+            self.running_len -= 1;
+        }
+        self.since[id as usize] = next;
     }
 
-    /// An inbound touch for `id`, visible at cycle `at` (always the
-    /// cycle after the current one): ensures `id` is visited at `at`.
-    /// Running or already-queued components are left alone; a pending
-    /// wheel wake is cancelled in favour of the earlier visit.
-    pub fn wake(&mut self, id: u32, at: Cycle) {
-        let i = id as usize;
-        if self.running_pos[i] != NONE || self.queued_at[i] == at {
+    /// An inbound touch for `id`, visible at the next cycle: ensures
+    /// `id` is visited then. Running or already-queued components are
+    /// left alone; a pending wheel wake is cancelled in favour of the
+    /// earlier visit.
+    #[inline]
+    pub fn wake(&mut self, id: u32) {
+        if test_bit(&self.running, id) || test_bit(&self.queued, id) {
             return;
         }
-        debug_assert!(self.queued_at[i] == Cycle::MAX, "queued for a past cycle");
         self.wheel.cancel(id);
-        self.queued_at[i] = at;
-        self.next_due.push(id);
+        self.queue(id);
     }
 
-    /// Finishes cycle `now`: promotes the touch/immediate queue and the
-    /// wheel expiries for `now + 1` into the due set.
+    /// Finishes cycle `now`: adds the wheel expiries for `now + 1` to
+    /// the queue the cycle's touches and immediate wakes filled.
+    #[inline]
     pub fn end_cycle(&mut self, now: Cycle) {
-        debug_assert!(self.due.is_empty());
-        std::mem::swap(&mut self.due, &mut self.next_due);
-        self.expire_into_due(now + 1);
+        self.expire_into_queue(now + 1);
     }
 
     /// Jumps the scheduler from an [`idle`](Self::idle) state straight
@@ -449,26 +513,27 @@ impl ActiveSet {
     /// skipped spans are settled by later catch-ups.
     pub fn advance(&mut self, to: Cycle) {
         debug_assert!(self.idle());
-        self.expire_into_due(to);
+        self.expire_into_queue(to);
     }
 
-    fn expire_into_due(&mut self, to: Cycle) {
-        let start = self.due.len();
-        self.wheel.expire(to, &mut self.due);
-        for &id in &self.due[start..] {
-            self.queued_at[id as usize] = to;
-        }
+    #[inline]
+    fn expire_into_queue(&mut self, to: Cycle) {
+        let (queued, len) = (&mut self.queued, &mut self.queued_len);
+        self.wheel.expire(to, |id| {
+            let fresh = set_bit(queued, id);
+            debug_assert!(fresh, "a wheel entry was also queued");
+            *len += 1;
+        });
     }
 
     /// Streams every idle component whose state lags `now` through `f`
     /// as `(id, since)` — the end-of-run pass that issues the final
     /// `skip(since, now)` catch-ups.
     pub fn drain_catch_ups(&mut self, now: Cycle, mut f: impl FnMut(u32, Cycle)) {
-        for id in 0..self.running_pos.len() as u32 {
-            if self.running_pos[id as usize] == NONE && self.since[id as usize] < now {
-                let s = self.since[id as usize];
-                self.since[id as usize] = now;
-                f(id, s);
+        for id in 0..self.since.len() as u32 {
+            let since = &mut self.since[id as usize];
+            if !test_bit(&self.running, id) && *since < now {
+                f(id, std::mem::replace(since, now));
             }
         }
     }
@@ -484,6 +549,15 @@ impl ActiveSet {
 mod tests {
     use super::*;
 
+    /// The visit set of the cycle about to be ticked, checked against
+    /// the split it reports for a boundary of 2.
+    fn visit(s: &mut ActiveSet) -> Vec<u32> {
+        let mut buf = Vec::new();
+        let split = s.visit(2, &mut buf);
+        assert_eq!(split, buf.iter().filter(|&&id| id < 2).count());
+        buf
+    }
+
     #[test]
     fn wheel_insert_expire_single_level() {
         let mut w = WakeWheel::new(8);
@@ -491,11 +565,11 @@ mod tests {
         w.insert(1, 7);
         assert_eq!(w.next_wake(), Some(5));
         let mut due = Vec::new();
-        w.expire(5, &mut due);
+        w.expire(5, |id| due.push(id));
         assert_eq!(due, vec![3]);
         assert_eq!(w.next_wake(), Some(7));
         due.clear();
-        w.expire(7, &mut due);
+        w.expire(7, |id| due.push(id));
         assert_eq!(due, vec![1]);
         assert!(w.is_empty());
     }
@@ -526,7 +600,7 @@ mod tests {
             let nw = w.next_wake().unwrap();
             assert_eq!(nw, expect);
             due.clear();
-            w.expire(nw, &mut due);
+            w.expire(nw, |id| due.push(id));
             assert_eq!(due.len(), 1, "at wake {expect}");
         }
         assert!(w.is_empty());
@@ -540,7 +614,7 @@ mod tests {
         let mut w = WakeWheel::new(4);
         let mut due = Vec::new();
         w.insert(0, 63);
-        w.expire(63, &mut due);
+        w.expire(63, |id| due.push(id));
         assert_eq!(due, vec![0]);
         let far = 63 + 4095; // level 1, wraps into the cursor slot
         let near = 63 + 320; // level 1, five slots ahead
@@ -548,11 +622,11 @@ mod tests {
         w.insert(2, near);
         assert_eq!(w.next_wake(), Some(near));
         due.clear();
-        w.expire(near, &mut due);
+        w.expire(near, |id| due.push(id));
         assert_eq!(due, vec![2]);
         assert_eq!(w.next_wake(), Some(far));
         due.clear();
-        w.expire(far, &mut due);
+        w.expire(far, |id| due.push(id));
         assert_eq!(due, vec![1]);
     }
 
@@ -563,7 +637,7 @@ mod tests {
         let early = w.next_wake().unwrap();
         assert_eq!(early, WHEEL_HORIZON - 1);
         let mut due = Vec::new();
-        w.expire(early, &mut due);
+        w.expire(early, |id| due.push(id));
         assert_eq!(due, vec![0]);
         // The engine re-seeds from the component's (still future) hint.
         w.insert(0, WHEEL_HORIZON * 3);
@@ -592,7 +666,7 @@ mod tests {
         let mut due = Vec::new();
         while let Some(nw) = w.next_wake() {
             due.clear();
-            w.expire(nw, &mut due);
+            w.expire(nw, |id| due.push(id));
             assert!(!due.is_empty(), "next_wake pointed at an empty cycle");
             due.sort_unstable();
             got.extend(due.iter().map(|&id| (nw, id)));
@@ -608,10 +682,10 @@ mod tests {
         w.insert(0, 200);
         let mut due = Vec::new();
         for t in 1..=199 {
-            w.expire(t, &mut due);
+            w.expire(t, |id| due.push(id));
             assert!(due.is_empty(), "early wake at {t}");
         }
-        w.expire(200, &mut due);
+        w.expire(200, |id| due.push(id));
         assert_eq!(due, vec![0]);
     }
 
@@ -623,19 +697,19 @@ mod tests {
         s.seed(1, Activity::IdleUntil(3), 0);
         s.seed(3, Activity::Drained, 0);
         assert!(!s.idle());
-        assert_eq!(s.visit(0), &[0, 2]);
+        assert_eq!(visit(&mut s), &[0, 2]);
         assert_eq!(s.visited_component_cycles(), 2);
         // 0 goes busy, 2 sleeps until 5.
         s.reinsert(0, Activity::Busy, 1);
         s.reinsert(2, Activity::IdleUntil(5), 1);
         s.end_cycle(0);
-        assert_eq!(s.visit(1), &[0]);
+        assert_eq!(visit(&mut s), &[0]);
         s.reinsert(0, Activity::IdleUntil(3), 2);
         s.end_cycle(1);
         assert!(s.idle());
         assert_eq!(s.next_wake(), Some(3));
         s.advance(3);
-        assert_eq!(s.visit(3), &[0, 1]);
+        assert_eq!(visit(&mut s), &[0, 1]);
     }
 
     #[test]
@@ -644,12 +718,12 @@ mod tests {
         s.seed(0, Activity::Busy, 0);
         s.seed(1, Activity::IdleUntil(10), 0);
         for t in 0..10 {
-            assert_eq!(s.visit(t), &[0]);
+            assert_eq!(visit(&mut s), &[0]);
             assert_eq!(s.take_catch_up(0, t), None);
             s.reinsert(0, Activity::Busy, t + 1);
             s.end_cycle(t);
         }
-        assert_eq!(s.visit(10), &[0, 1]);
+        assert_eq!(visit(&mut s), &[0, 1]);
         assert_eq!(s.take_catch_up(1, 10), Some(0));
         assert_eq!(s.take_catch_up(1, 10), None);
     }
@@ -662,11 +736,11 @@ mod tests {
         assert!(s.idle());
         // A touch at cycle 4 makes both visible-at-5.
         s.advance(4);
-        s.wake(0, 5);
-        s.wake(1, 5);
-        s.wake(1, 5); // duplicate tokens dedup
+        s.wake(0);
+        s.wake(1);
+        s.wake(1); // duplicate tokens dedup
         s.end_cycle(4);
-        assert_eq!(s.visit(5), &[0, 1]);
+        assert_eq!(visit(&mut s), &[0, 1]);
         assert_eq!(s.take_catch_up(0, 5), Some(0));
         s.reinsert(0, Activity::Drained, 6);
         s.reinsert(1, Activity::Drained, 6);
@@ -681,7 +755,7 @@ mod tests {
         s.seed(0, Activity::IdleUntil(50), 0);
         s.seed(1, Activity::Drained, 0);
         s.seed(2, Activity::Busy, 0);
-        s.visit(0);
+        visit(&mut s);
         s.reinsert(2, Activity::Drained, 1);
         s.end_cycle(0);
         let mut spans = Vec::new();
@@ -690,5 +764,278 @@ mod tests {
         spans.clear();
         s.drain_catch_ups(7, |id, since| spans.push((id, since)));
         assert!(spans.is_empty());
+    }
+
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The naive scheduler the oracle holds `ActiveSet` against: every
+    /// pending wake in an ordered map, the running and due sets as
+    /// ordered sets, and the first unprocessed cycle per component.
+    struct Reference {
+        /// The cycle the scheduler stands at (the wheel's cursor).
+        now: Cycle,
+        wakes: std::collections::BTreeMap<u32, Cycle>,
+        running: std::collections::BTreeSet<u32>,
+        due: std::collections::BTreeSet<u32>,
+        next_due: std::collections::BTreeSet<u32>,
+        since: Vec<Cycle>,
+        visited: u64,
+    }
+
+    impl Reference {
+        /// Files a hint the way `seed` (into `due`, `immediate` false)
+        /// or `reinsert` (into `next_due`) does.
+        fn file(&mut self, id: u32, hint: Activity, at: Cycle, into_next: bool) {
+            match hint {
+                Activity::Busy => {
+                    self.running.insert(id);
+                    return;
+                }
+                Activity::IdleUntil(w) if w <= at => {
+                    if into_next {
+                        self.next_due.insert(id);
+                    } else {
+                        self.due.insert(id);
+                    }
+                }
+                Activity::IdleUntil(w) if w != Cycle::MAX => {
+                    self.wakes.insert(id, w.min(self.now + WHEEL_HORIZON - 1));
+                }
+                Activity::IdleUntil(_) | Activity::Drained => {}
+            }
+            self.running.remove(&id);
+            self.since[id as usize] = at;
+        }
+
+        fn next_wake(&self) -> Option<Cycle> {
+            self.wakes.values().copied().min()
+        }
+
+        /// Moves the wakes due at `to` into `due`.
+        fn expire(&mut self, to: Cycle) {
+            assert!(self.next_wake().is_none_or(|w| w >= to));
+            let fired: Vec<u32> = (self.wakes.iter())
+                .filter(|&(_, &w)| w == to)
+                .map(|(&id, _)| id)
+                .collect();
+            for id in fired {
+                self.wakes.remove(&id);
+                self.due.insert(id);
+            }
+            self.now = to;
+        }
+    }
+
+    /// What one generated run exercised, summed over seeds.
+    #[derive(Default)]
+    struct Coverage {
+        /// Wheel inserts by level, plus lap-ahead and clamped inserts.
+        levels: [u64; LEVELS],
+        lap_ahead: u64,
+        clamped: u64,
+        jumps: u64,
+        ticks: u64,
+        catch_ups: u64,
+        wakes: u64,
+    }
+
+    impl Coverage {
+        /// Tallies the wheel level a hint filed at `next` lands in.
+        fn count(&mut self, hint: Activity, now: Cycle, next: Cycle) {
+            let Activity::IdleUntil(w) = hint else { return };
+            if w <= next || w == Cycle::MAX {
+                return;
+            }
+            let d = w - now;
+            if d >= WHEEL_HORIZON {
+                self.clamped += 1;
+                return;
+            }
+            let level = (d.ilog2() / SLOT_BITS) as usize;
+            self.levels[level] += 1;
+            if level == 1 && w >> SLOT_BITS == (now >> SLOT_BITS) + 64 {
+                self.lap_ahead += 1;
+            }
+        }
+    }
+
+    /// A hint for a component filed at `next` while the scheduler
+    /// stands at `now`, covering every wheel level, entries a full
+    /// level-1 lap ahead of the cursor, and wakes past the horizon.
+    fn gen_hint(rng: &mut Xorshift, now: Cycle, next: Cycle) -> Activity {
+        let ahead = |d: u64| Activity::IdleUntil(now + d);
+        match rng.below(16) {
+            0..=2 => Activity::Busy,
+            3 => Activity::IdleUntil(next.saturating_sub(rng.below(3))),
+            4..=6 => ahead(2 + rng.below(62)),
+            7 | 8 => ahead(64 + rng.below(4096 - 64)),
+            // Lands in level 1's cursor slot: 64 windows ahead.
+            9 => {
+                let w = ((now >> SLOT_BITS) + 64) << SLOT_BITS;
+                Activity::IdleUntil(w + rng.below((now & 63).max(1)))
+            }
+            10 => ahead(4096 + rng.below(0x40000 - 4096)),
+            11 => ahead(0x40000 + rng.below(WHEEL_HORIZON - 0x40000)),
+            12 => ahead(WHEEL_HORIZON + rng.below(3 * WHEEL_HORIZON)),
+            13 => Activity::waiting(),
+            _ => Activity::Drained,
+        }
+    }
+
+    /// One generated run of `steps` scheduler operations on up to 40
+    /// components: every visit set, catch-up span, `idle` and
+    /// `next_wake` answer is checked against [`Reference`].
+    fn oracle_run(seed: u64, steps: usize, cov: &mut Coverage) {
+        let mut rng = Xorshift((seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let n = 1 + rng.below(40) as u32;
+        let split = rng.below(n as u64 + 1) as u32;
+        let start = match rng.below(3) {
+            0 => 0,
+            1 => rng.below(1 << 12),
+            _ => rng.below(1 << 40),
+        };
+        let mut s = ActiveSet::new(n as usize);
+        let mut r = Reference {
+            now: start,
+            wakes: Default::default(),
+            running: Default::default(),
+            due: Default::default(),
+            next_due: Default::default(),
+            since: vec![0; n as usize],
+            visited: 0,
+        };
+        if start > 0 {
+            s.advance(start);
+        }
+        for id in 0..n {
+            let hint = gen_hint(&mut rng, start, start);
+            cov.count(hint, start, start);
+            s.seed(id, hint, start);
+            r.file(id, hint, start, false);
+        }
+        let mut buf = Vec::new();
+        for step in 0..steps {
+            let now = r.now;
+            let at = format!("seed {seed}, step {step}, cycle {now}");
+            let idle = r.running.is_empty() && r.due.is_empty();
+            assert_eq!(s.idle(), idle, "{at}: idle");
+            assert_eq!(s.next_wake(), r.next_wake(), "{at}: next_wake");
+            // The engine jumps when its fabric agrees; otherwise it
+            // ticks an empty or non-empty visit set.
+            if idle && rng.below(4) != 0 {
+                let to = match r.next_wake() {
+                    Some(w) if rng.below(3) == 0 => now + 1 + rng.below(w - now),
+                    Some(w) => w,
+                    None => {
+                        let bits = 1 + rng.below(30);
+                        now + 1 + rng.below(1 << bits)
+                    }
+                };
+                s.advance(to);
+                r.expire(to);
+                cov.jumps += 1;
+                continue;
+            }
+            let got_split = s.visit(split, &mut buf);
+            let want: Vec<u32> = r.running.union(&r.due).copied().collect();
+            assert_eq!(buf, want, "{at}: visit set");
+            let want_split = want.iter().filter(|&&id| id < split).count();
+            assert_eq!(got_split, want_split, "{at}: split");
+            r.visited += want.len() as u64;
+            assert_eq!(s.visited_component_cycles(), r.visited, "{at}: visited");
+            r.due.clear();
+            for &id in &buf {
+                let since = &mut r.since[id as usize];
+                let span = (!r.running.contains(&id) && *since < now).then_some(*since);
+                if span.is_some() {
+                    *since = now;
+                }
+                assert_eq!(s.take_catch_up(id, now), span, "{at}: catch-up of {id}");
+                assert_eq!(s.take_catch_up(id, now), None, "{at}: second catch-up");
+                cov.catch_ups += span.is_some() as u64;
+            }
+            let next = now + 1;
+            for &id in &buf {
+                let hint = gen_hint(&mut rng, now, next);
+                cov.count(hint, now, next);
+                s.reinsert(id, hint, next);
+                r.file(id, hint, next, true);
+            }
+            // Inbound touches, duplicates included.
+            for _ in 0..rng.below(4) {
+                let id = rng.below(n as u64) as u32;
+                s.wake(id);
+                if !r.running.contains(&id) && r.next_due.insert(id) {
+                    r.wakes.remove(&id);
+                    cov.wakes += 1;
+                }
+            }
+            s.end_cycle(now);
+            r.due = std::mem::take(&mut r.next_due);
+            r.expire(next);
+            cov.ticks += 1;
+        }
+        let end = r.now + rng.below(100);
+        let mut spans = Vec::new();
+        s.drain_catch_ups(end, |id, since| spans.push((id, since)));
+        let want: Vec<(u32, Cycle)> = (0..n)
+            .filter(|id| !r.running.contains(id) && r.since[*id as usize] < end)
+            .map(|id| (id, r.since[id as usize]))
+            .collect();
+        assert_eq!(spans, want, "seed {seed}: final catch-ups");
+    }
+
+    fn oracle(seeds: std::ops::Range<u64>) {
+        let mut cov = Coverage::default();
+        for seed in seeds {
+            oracle_run(seed, 300, &mut cov);
+        }
+        let Coverage {
+            levels,
+            lap_ahead,
+            clamped,
+            jumps,
+            ticks,
+            catch_ups,
+            wakes,
+        } = cov;
+        assert!(
+            levels.iter().all(|&l| l > 1_000)
+                && lap_ahead > 1_000
+                && clamped > 1_000
+                && jumps > 1_000
+                && ticks > 10_000
+                && catch_ups > 1_000
+                && wakes > 1_000,
+            "coverage: levels {levels:?}, lap-ahead {lap_ahead}, clamped {clamped}, \
+             {jumps} jumps, {ticks} ticks, {catch_ups} catch-ups, {wakes} wakes"
+        );
+    }
+
+    /// `ActiveSet` against the naive reference on generated operation
+    /// sequences; a failure names its seed.
+    #[test]
+    fn active_set_matches_the_naive_reference() {
+        oracle(0..200);
+    }
+
+    /// Ten times the seeds; `ci.sh` runs it in release under a timeout.
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn active_set_matches_the_naive_reference_long() {
+        oracle(200..2_200);
     }
 }
