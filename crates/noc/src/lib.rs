@@ -6,14 +6,16 @@
 //! This crate implements behavioural equivalents of all three, plus an
 //! idealised fixed-latency fabric:
 //!
-//! * [`AmbaBus`] — a single-owner shared bus with centralised arbitration
-//!   (round-robin or fixed priority): one transaction occupies the bus
-//!   from grant to completion, like an AHB without split transfers.
+//! * [`AmbaBus`] — a bus of arbitration lanes (round-robin or fixed
+//!   priority), each carrying one transaction from grant to completion.
+//!   [`AmbaBus::new`] builds the single-owner shared bus, one lane for
+//!   every slave, like an AHB without split transfers;
+//!   [`AmbaBus::crossbar`] the full crossbar, one lane per slave
+//!   (STBus-like), where transactions to different slaves proceed in
+//!   parallel.
 //! * [`XpipesNoc`] — a 2D-mesh wormhole packet-switched NoC with XY
 //!   routing, per-link backpressure and network-interface
 //!   (de)packetisation, in the spirit of ×pipes.
-//! * [`CrossbarBus`] — a full crossbar with per-slave arbitration
-//!   (STBus-like): transactions to different slaves proceed in parallel.
 //! * [`IdealInterconnect`] — fixed latency, unlimited bandwidth; the
 //!   "transactional fabric model" the paper suggests for cheap reference
 //!   runs.
@@ -35,13 +37,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod amba;
-mod crossbar;
+mod bus;
 mod ideal;
 mod xpipes;
 
-pub use amba::{AmbaBus, Arbitration, BusStats};
-pub use crossbar::CrossbarBus;
+pub use bus::{AmbaBus, Arbitration};
 pub use ideal::IdealInterconnect;
 pub use xpipes::{XpipesConfig, XpipesNoc};
 
@@ -71,11 +71,11 @@ fn check_slave_ports(map: &AddressMap, n_slaves: usize) {
 /// Which interconnect family a model belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterconnectKind {
-    /// Shared bus ([`AmbaBus`]).
+    /// Shared bus ([`AmbaBus::new`]).
     Amba,
     /// Packet-switched mesh ([`XpipesNoc`]).
     Xpipes,
-    /// Full crossbar ([`CrossbarBus`]).
+    /// Full crossbar ([`AmbaBus::crossbar`]).
     Crossbar,
     /// Fixed-latency ideal fabric ([`IdealInterconnect`]).
     Ideal,
@@ -202,7 +202,7 @@ mod tests {
     #[should_panic(expected = "region `m1` maps to slave 1 but the fabric has 1 slave ports")]
     fn crossbar_rejects_a_region_without_a_slave_port() {
         let (masters, slaves, map) = map_past_the_slave_ports();
-        CrossbarBus::new("xbar", masters, slaves, map);
+        AmbaBus::crossbar("xbar", masters, slaves, map);
     }
 
     #[test]

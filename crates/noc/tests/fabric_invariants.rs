@@ -9,14 +9,16 @@
 use std::sync::Arc;
 
 use ntg_mem::{AddressMap, MemoryDevice, RegionKind};
-use ntg_noc::{AmbaBus, CrossbarBus, IdealInterconnect, Interconnect, XpipesConfig, XpipesNoc};
+use ntg_noc::{AmbaBus, Arbitration, IdealInterconnect, Interconnect, XpipesConfig, XpipesNoc};
 use ntg_ocp::{LinkArena, MasterId, MasterPort, OcpRequest, OcpStatus, SlaveId};
 use ntg_sim::Component;
 
 const N_SLAVES: usize = 2;
 const BASES: [u32; N_SLAVES] = [0x1000, 0x2000];
 const WORDS: u32 = 64;
-const KINDS: [&str; 4] = ["amba", "crossbar", "xpipes", "ideal"];
+/// Every master's op list is finite, so starvation under fixed
+/// priority ends and `amba-fixed` drains like the others.
+const KINDS: [&str; 5] = ["amba", "amba-fixed", "crossbar", "xpipes", "ideal"];
 const CASES: u64 = 24;
 
 struct Xorshift(u64);
@@ -104,7 +106,12 @@ fn build(kind: &str, n_masters: usize) -> Rig {
     }
     let net: Box<dyn Interconnect> = match kind {
         "amba" => Box::new(AmbaBus::new("amba", net_masters, net_slaves, map)),
-        "crossbar" => Box::new(CrossbarBus::new("xbar", net_masters, net_slaves, map)),
+        "amba-fixed" => {
+            let mut bus = AmbaBus::new("amba", net_masters, net_slaves, map);
+            bus.set_arbitration(Arbitration::FixedPriority);
+            Box::new(bus)
+        }
+        "crossbar" => Box::new(AmbaBus::crossbar("xbar", net_masters, net_slaves, map)),
         "xpipes" => Box::new(XpipesNoc::new(
             "xpipes",
             net_masters,

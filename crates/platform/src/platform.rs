@@ -10,9 +10,7 @@ use ntg_core::{
 };
 use ntg_cpu::{CpuConfig, CpuCore, Program};
 use ntg_mem::{AddressMap, MapError, MemoryDevice, SemaphoreBank};
-use ntg_noc::{
-    AmbaBus, Arbitration, CrossbarBus, IdealInterconnect, Interconnect, XpipesConfig, XpipesNoc,
-};
+use ntg_noc::{AmbaBus, Arbitration, IdealInterconnect, Interconnect, XpipesConfig, XpipesNoc};
 use ntg_ocp::{wake_token, LinkArena, MasterId};
 use ntg_sim::{ActiveSet, Activity, ClockConfig, Component, Cycle, WindowSeries};
 use ntg_trace::{shared_trace, MasterTrace, SharedTrace, TraceMonitor};
@@ -630,7 +628,7 @@ impl PlatformBuilder {
                 bus.set_arbitration(Arbitration::FixedPriority);
                 Box::new(bus)
             }
-            InterconnectChoice::Crossbar => Box::new(CrossbarBus::new(
+            InterconnectChoice::Crossbar => Box::new(AmbaBus::crossbar(
                 "crossbar",
                 net_master_ports,
                 net_slave_ports,

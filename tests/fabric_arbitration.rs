@@ -1,14 +1,17 @@
 //! Tier-1 guard on arbitration outcomes: MP matrix 4P at test scale,
-//! CPU run and TG replay, on the two fabrics whose arbiters see real
-//! contention per target — the crossbar's per-slave lanes and the ×pipes
-//! routers. `engine_oracle.rs` diffs `Platform::run` against `step`, but
-//! both drive the same fabric kernels, so a kernel that grants the wrong
-//! requester, miscounts a lost round or drops a stall cycle passes it.
-//! This one pins what the arbiters decided.
+//! CPU run and TG replay, on every arbitrating fabric — the shared AMBA
+//! bus, the crossbar's per-slave lanes and the ×pipes routers — plus
+//! the shared bus under fixed priority. `engine_oracle.rs` diffs
+//! `Platform::run` against `step`, but both drive the same fabric
+//! kernels, so a kernel that grants the wrong requester, miscounts a
+//! lost round or drops a stall cycle passes it. This one pins what the
+//! arbiters decided.
 //!
-//! The pinned tuples were produced at commit `70362c6`, whose crossbar
-//! scanned every master once per idle lane and whose ×pipes switch
-//! walked all five outputs of every busy router.
+//! The crossbar and ×pipes tuples were produced at commit `70362c6`,
+//! whose crossbar scanned every master once per idle lane and whose
+//! ×pipes switch walked all five outputs of every busy router. The AMBA
+//! tuples were produced at commit `a70cdbd`, whose shared bus and
+//! crossbar were still two separate models.
 
 use ntg::platform::{InterconnectChoice, RunReport};
 use ntg::tg::{assemble, TgImage, TraceTranslator, TranslationMode};
@@ -89,6 +92,42 @@ fn crossbar_and_xpipes_arbitrate_as_pinned() {
         assert_eq!(
             got, want,
             "mp_matrix 4P {name}: (cycles, transactions, conflicts, grant_wait sum, utilization)"
+        );
+    }
+}
+
+/// The shared bus: MP matrix 4P under round robin, CPU run and TG
+/// replay, and Cacheloop 4P under fixed priority — MP matrix and DES
+/// livelock there (high-priority pollers starve the lock holder), so
+/// the fixed-priority rows use a workload every master finishes.
+#[test]
+fn amba_arbitrates_as_pinned() {
+    let mp = Workload::MpMatrix { n: 24 }.test_scale();
+    let mp_images = tg_images(mp);
+    let loops = Workload::Cacheloop { iterations: 500 }.test_scale();
+    let loop_images = tg_images(loops);
+    let got = [
+        cpu(mp, InterconnectChoice::Amba),
+        tg(mp, &mp_images, InterconnectChoice::Amba),
+        cpu(loops, InterconnectChoice::AmbaFixedPriority),
+        tg(loops, &loop_images, InterconnectChoice::AmbaFixedPriority),
+    ];
+    let want: [Outcome; 4] = [
+        (15_203, 1_734, 1_316, 18_134, 7_656),
+        (15_203, 1_733, 1_316, 17_561, 7_652),
+        (2_626, 16, 9, 180, 112),
+        (2_626, 16, 9, 180, 112),
+    ];
+    let names = [
+        "mp_matrix 4P cpu amba",
+        "mp_matrix 4P tg amba",
+        "cacheloop 4P cpu amba-fixed",
+        "cacheloop 4P tg amba-fixed",
+    ];
+    for ((name, got), want) in names.iter().zip(got).zip(want) {
+        assert_eq!(
+            got, want,
+            "{name}: (cycles, transactions, conflicts, grant_wait sum, utilization)"
         );
     }
 }
