@@ -35,6 +35,16 @@ if grep -rnE 'merge_shards|shard_path|--shard|RunOptions::shard' crates src test
     exit 1
 fi
 
+# The master set is closed: a CPU core, a TG, a stochastic source or a
+# synthetic generator, all dispatched on one enum. The multitasking TG
+# and the open `dyn` master socket were retired and must not come back.
+echo "==> master guard: no multitasking TG, no open master socket"
+if grep -rnE 'TgMultiCore|TimesliceConfig|add_tg_multitask|PlatformMaster|MasterFactory|MasterKind::Custom' \
+    crates src tests examples; then
+    echo "ci: a retired master kind or the open master socket is back (see above)" >&2
+    exit 1
+fi
+
 # A blocked master's wake hint names the one event it waits for
 # (`response_visible_at` / `accept_visible_at`, DESIGN §4.9). The
 # removed "earliest of either" accessor woke every reader on its read's

@@ -48,7 +48,6 @@
 mod asm;
 mod image;
 mod isa;
-mod multitask;
 mod program;
 pub mod rng;
 mod stochastic;
@@ -60,7 +59,6 @@ pub mod translate;
 pub use asm::{assemble, disassemble, TgAsmError};
 pub use image::{TgImage, TgImageError};
 pub use isa::{TgCond, TgDecodeError, TgInstr, TgReg, RDREG, TEMPREG};
-pub use multitask::{SchedulerStats, TgMultiCore, TimesliceConfig};
 pub use program::{TgItem, TgProgram, TgSymInstr};
 pub use stochastic::{GapDistribution, StochasticConfig, StochasticTg};
 pub use tgcore::{TgCore, TgFault, TgStats};

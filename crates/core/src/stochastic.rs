@@ -210,15 +210,21 @@ impl StochasticTg {
             "fractions must be within [0, 1]"
         );
         let rng = Xoshiro256::seed_from_u64(cfg.seed);
+        // A source asked for no transactions is done before it starts.
+        let (state, halt_cycle) = if cfg.transactions == 0 {
+            (State::Halted, Some(0))
+        } else {
+            (State::Ready, None)
+        };
         Self {
             name: name.into(),
             port,
             cfg,
             rng,
-            state: State::Ready,
+            state,
             issued: 0,
             errors: 0,
-            halt_cycle: None,
+            halt_cycle,
         }
     }
 
@@ -401,6 +407,31 @@ mod tests {
         assert_eq!(tg.issued(), 200);
         assert_eq!(tg.errors(), 0);
         assert_eq!(mem.reads() + mem.writes(), 200);
+    }
+
+    #[test]
+    fn zero_transactions_halt_at_cycle_zero_having_issued_nothing() {
+        let mut net = LinkArena::new();
+        let (mport, sport) = net.channel("stg", MasterId(0));
+        let mut mem = MemoryDevice::new("ram", 0x1000, 0x1000, sport);
+        let mut tg = StochasticTg::new(
+            "stg",
+            mport,
+            StochasticConfig {
+                transactions: 0,
+                ..StochasticConfig::default()
+            },
+        );
+        assert!(tg.halted());
+        assert_eq!(tg.halt_cycle(), Some(0));
+        assert_eq!(tg.next_activity(0, &net), Activity::Drained);
+        for now in 0..100 {
+            tg.tick(now, &mut net);
+            mem.tick(now, &mut net);
+        }
+        assert_eq!(tg.issued(), 0);
+        assert_eq!(mem.reads() + mem.writes(), 0);
+        assert_eq!(tg.halt_cycle(), Some(0));
     }
 
     #[test]

@@ -117,16 +117,6 @@ impl TgCore {
         self.state == State::Halted
     }
 
-    /// Whether the TG is blocked on an outstanding OCP transaction
-    /// (request asserted, waiting for acceptance or a response).
-    ///
-    /// A scheduler (see [`TgMultiCore`](crate::TgMultiCore)) must not
-    /// preempt a blocked generator: a real master cannot retract a
-    /// request that is already driving the wires.
-    pub fn is_blocked(&self) -> bool {
-        matches!(self.state, State::WaitResp | State::WaitAccept)
-    }
-
     /// The cycle in which `Halt` executed, if it has.
     pub fn halt_cycle(&self) -> Option<Cycle> {
         self.halt_cycle

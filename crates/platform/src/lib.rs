@@ -1,11 +1,12 @@
 //! The MPARM-like multiprocessor SoC platform.
 //!
 //! Assembles the full system the paper simulates: *n* masters (Srisc CPU
-//! cores running benchmark programs, or traffic generators replaying
-//! translated traces), one interconnect (AMBA-like bus, ×pipes-like NoC,
-//! crossbar or ideal fabric), per-core private memories, a shared memory,
-//! a synchronisation-flag memory and a hardware semaphore bank — all
-//! behind one fixed [memory map](mem_map).
+//! cores running benchmark programs, traffic generators replaying
+//! translated traces, stochastic sources or [synthetic](synthetic)
+//! pattern × shape generators), one interconnect (AMBA-like bus,
+//! ×pipes-like NoC, crossbar or ideal fabric), per-core private
+//! memories, a shared memory, a synchronisation-flag memory and a
+//! hardware semaphore bank — all behind one fixed [memory map](mem_map).
 //!
 //! The [`PlatformBuilder`] wires everything, [`Platform::run`] executes
 //! the cycle loop and returns a [`RunReport`] with per-core completion
@@ -29,9 +30,10 @@
 pub mod mem_map;
 mod platform;
 mod report;
+pub mod synthetic;
 
 pub use platform::{
-    InterconnectChoice, MasterCtx, MasterFactory, MasterKind, Platform, PlatformBuilder,
-    PlatformError, PlatformMaster, TraceTranslationError, ALL_INTERCONNECTS,
+    InterconnectChoice, MasterKind, Platform, PlatformBuilder, PlatformError,
+    TraceTranslationError, ALL_INTERCONNECTS,
 };
 pub use report::{MasterReport, MetricsReport, RunReport};

@@ -4,9 +4,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ntg_core::rng::derive_seed;
 use ntg_core::{
-    StochasticConfig, StochasticTg, TgCore, TgImage, TgMultiCore, TgProgram, TimesliceConfig,
-    TraceTranslator, TranslationError, TranslationMode, TranslatorConfig,
+    StochasticConfig, StochasticTg, TgCore, TgImage, TgProgram, TraceTranslator, TranslationError,
+    TranslationMode, TranslatorConfig,
 };
 use ntg_cpu::{CpuConfig, CpuCore, Program};
 use ntg_mem::{AddressMap, MapError, MemoryDevice, SemaphoreBank};
@@ -17,6 +18,7 @@ use ntg_trace::{shared_trace, MasterTrace, SharedTrace, TraceMonitor};
 
 use crate::mem_map;
 use crate::report::{MasterReport, MetricsReport, RunReport};
+use crate::synthetic::{Schedule, SyntheticConfig, SyntheticSpec, SyntheticTg};
 
 /// Which interconnect model the platform instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -93,65 +95,26 @@ pub const ALL_INTERCONNECTS: [InterconnectChoice; 5] = [
     InterconnectChoice::Ideal,
 ];
 
-/// A master implemented outside this crate, plugged into a socket via
-/// [`MasterKind::Custom`].
-///
-/// Implementors provide the [`Component`] tick protocol over the
-/// platform's [`LinkArena`] plus the lifecycle queries the run loop
-/// needs from every master. The contract matches the built-in masters:
-/// `halted` becomes true once all work is done (and stays true),
-/// `halt_cycle` records the completing cycle, and any
-/// `next_activity`/`skip` implementation must keep cycle counts
-/// bit-identical to being ticked every cycle. The `Send` supertrait keeps
-/// the assembled [`Platform`] a plain `Send` value, which is what lets
-/// campaign workers own platforms on worker threads.
-pub trait PlatformMaster: Component<LinkArena> + Send {
-    /// Whether the master has finished all its work.
-    fn halted(&self) -> bool;
-    /// The cycle the master completed in, if halted.
-    fn halt_cycle(&self) -> Option<Cycle>;
-    /// A human-readable fault description, if the master faulted.
-    fn fault(&self) -> Option<String> {
-        None
-    }
-    /// Per-master statistics for the [`RunReport`].
-    fn report(&self) -> MasterReport;
-}
-
-/// Socket context handed to a [`MasterFactory`]: which socket is being
-/// filled and how many the platform has (patterns like transpose need
-/// the total).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MasterCtx {
-    /// The socket (= core) index of this master.
-    pub core: usize,
-    /// Total number of masters in the platform.
-    pub cores: usize,
-}
-
-/// Builds a custom master for a socket. A factory rather than a value
-/// because [`PlatformBuilder::build`] may be called repeatedly on the
-/// same builder — each build gets a fresh master wired to a fresh port.
-/// `Send + Sync` so builders holding factories can be shared with or
-/// moved to campaign worker threads.
-pub type MasterFactory =
-    Box<dyn Fn(MasterCtx, ntg_ocp::MasterPort) -> Box<dyn PlatformMaster> + Send + Sync>;
-
 /// What kind of master occupies a socket.
 pub enum MasterKind {
     /// A Srisc core running an assembled program.
     Cpu(Program),
     /// A traffic generator replaying a TG image.
     Tg(TgImage),
-    /// Several TG programs time-sliced onto one socket (the paper's §7
-    /// future-work scenario).
-    TgMulti(Vec<TgImage>, TimesliceConfig),
     /// A stochastic traffic source (the related-work baseline the paper
     /// argues is unreliable for NoC optimisation).
     Stochastic(StochasticConfig),
-    /// An externally implemented master (e.g. the synthetic traffic
-    /// generators in `ntg-workloads`), built per-socket by the factory.
-    Custom(MasterFactory),
+    /// A synthetic pattern × shape traffic generator injecting `packets`
+    /// packets per `spec`; its PRNG stream is derived from `seed` and the
+    /// socket's core index.
+    Synthetic {
+        /// Destination pattern, temporal shape, rate and packet size.
+        spec: SyntheticSpec,
+        /// Packets injected before halting.
+        packets: u64,
+        /// Campaign seed, decorrelated per core.
+        seed: u64,
+    },
 }
 
 // TgCore is itself a fair-sized struct, so the size gap to the boxed
@@ -162,9 +125,8 @@ enum Master {
     // TgCore, and masters live in a Vec.
     Cpu(Box<CpuCore>),
     Tg(TgCore),
-    TgMulti(Box<TgMultiCore>),
     Stochastic(Box<StochasticTg>),
-    Custom(Box<dyn PlatformMaster>),
+    Synthetic(Box<SyntheticTg>),
 }
 
 impl Master {
@@ -177,9 +139,8 @@ impl Master {
         match self {
             Master::Cpu(c) => c.tick(now, net),
             Master::Tg(t) => t.tick(now, net),
-            Master::TgMulti(m) => m.tick(now, net),
             Master::Stochastic(s) => s.tick(now, net),
-            Master::Custom(c) => c.tick(now, net),
+            Master::Synthetic(s) => s.tick(now, net),
         }
     }
 
@@ -188,9 +149,8 @@ impl Master {
         match self {
             Master::Cpu(c) => c.next_activity(now, net),
             Master::Tg(t) => t.next_activity(now, net),
-            Master::TgMulti(m) => m.next_activity(now, net),
             Master::Stochastic(s) => s.next_activity(now, net),
-            Master::Custom(c) => c.next_activity(now, net),
+            Master::Synthetic(s) => s.next_activity(now, net),
         }
     }
 
@@ -199,9 +159,8 @@ impl Master {
         match self {
             Master::Cpu(c) => c.skip(now, next, net),
             Master::Tg(t) => t.skip(now, next, net),
-            Master::TgMulti(m) => m.skip(now, next, net),
             Master::Stochastic(s) => s.skip(now, next, net),
-            Master::Custom(c) => c.skip(now, next, net),
+            Master::Synthetic(s) => s.skip(now, next, net),
         }
     }
 
@@ -209,9 +168,8 @@ impl Master {
         match self {
             Master::Cpu(c) => c.halted(),
             Master::Tg(t) => t.halted(),
-            Master::TgMulti(m) => m.halted(),
             Master::Stochastic(s) => s.halted(),
-            Master::Custom(c) => c.halted(),
+            Master::Synthetic(s) => s.is_halted(),
         }
     }
 
@@ -219,9 +177,8 @@ impl Master {
         match self {
             Master::Cpu(c) => c.halt_cycle(),
             Master::Tg(t) => t.halt_cycle(),
-            Master::TgMulti(m) => m.halt_cycle(),
             Master::Stochastic(s) => s.halt_cycle(),
-            Master::Custom(c) => c.halt_cycle(),
+            Master::Synthetic(s) => s.halt_cycle(),
         }
     }
 
@@ -229,9 +186,7 @@ impl Master {
         match self {
             Master::Cpu(c) => c.fault().map(|f| format!("{f:?}")),
             Master::Tg(t) => t.fault().map(|f| format!("{f:?}")),
-            Master::TgMulti(m) => m.fault().map(|f| format!("{f:?}")),
-            Master::Stochastic(_) => None,
-            Master::Custom(c) => c.fault(),
+            Master::Stochastic(_) | Master::Synthetic(_) => None,
         }
     }
 
@@ -239,25 +194,11 @@ impl Master {
         match self {
             Master::Cpu(c) => MasterReport::Cpu(c.stats()),
             Master::Tg(t) => MasterReport::Tg(t.stats()),
-            // Summed over tasks: the socket's total traffic.
-            Master::TgMulti(m) => {
-                let mut total = ntg_core::TgStats::default();
-                for s in m.task_stats() {
-                    total.instructions += s.instructions;
-                    total.reads += s.reads;
-                    total.writes += s.writes;
-                    total.burst_reads += s.burst_reads;
-                    total.burst_writes += s.burst_writes;
-                    total.idle_cycles += s.idle_cycles;
-                    total.wait_cycles += s.wait_cycles;
-                }
-                MasterReport::Tg(total)
-            }
             Master::Stochastic(s) => MasterReport::Stochastic {
                 issued: s.issued(),
                 errors: s.errors(),
             },
-            Master::Custom(c) => c.report(),
+            Master::Synthetic(s) => s.report(),
         }
     }
 }
@@ -467,16 +408,22 @@ impl PlatformBuilder {
         self
     }
 
-    /// Adds a multitasking TG socket running several images under
-    /// round-robin timeslicing (the paper's §7 future-work scenario).
-    pub fn add_tg_multitask(&mut self, images: Vec<TgImage>, cfg: TimesliceConfig) -> &mut Self {
-        self.masters.push(MasterKind::TgMulti(images, cfg));
-        self
-    }
-
     /// Adds a stochastic traffic source (the related-work baseline).
     pub fn add_stochastic(&mut self, cfg: StochasticConfig) -> &mut Self {
         self.masters.push(MasterKind::Stochastic(cfg));
+        self
+    }
+
+    /// Adds one [`SyntheticTg`] master driven by `spec`, halting after
+    /// `packets` packets. Each master's PRNG stream is derived from
+    /// `seed` and its core index, so the same call on every core still
+    /// yields decorrelated (but reproducible) traffic.
+    pub fn add_synthetic_tg(&mut self, spec: SyntheticSpec, packets: u64, seed: u64) -> &mut Self {
+        self.masters.push(MasterKind::Synthetic {
+            spec,
+            packets,
+            seed,
+        });
         self
     }
 
@@ -574,45 +521,55 @@ impl PlatformBuilder {
         // Masters, on the links minted above.
         let mut masters = Vec::new();
         for ((core, kind), mport) in self.masters.iter().enumerate().zip(master_ports) {
-            let master =
-                match kind {
-                    MasterKind::Cpu(program) => {
-                        let base = mem_map::private_base(core);
-                        let end = u64::from(base) + u64::from(self.private_bytes);
-                        let fits = program.entry() >= base
-                            && u64::from(program.entry()) + u64::from(program.size_bytes()) <= end;
-                        if !fits {
-                            return Err(PlatformError::ProgramOutsidePrivate { core });
-                        }
-                        let Slave::Mem(priv_mem) = &mut slaves[core] else {
-                            unreachable!("slave {core} is this core's private memory")
-                        };
-                        priv_mem.load_words(program.entry(), program.words());
-                        let sp = base + self.private_bytes - 4;
-                        Master::Cpu(Box::new(CpuCore::new(
-                            format!("cpu{core}"),
-                            mport,
-                            map.clone(),
-                            self.cpu_config,
-                            program.entry(),
-                            sp,
-                        )))
+            let master = match kind {
+                MasterKind::Cpu(program) => {
+                    let base = mem_map::private_base(core);
+                    let end = u64::from(base) + u64::from(self.private_bytes);
+                    let fits = program.entry() >= base
+                        && u64::from(program.entry()) + u64::from(program.size_bytes()) <= end;
+                    if !fits {
+                        return Err(PlatformError::ProgramOutsidePrivate { core });
                     }
-                    MasterKind::Tg(image) => {
-                        Master::Tg(TgCore::new(format!("tg{core}"), mport, image.clone()))
-                    }
-                    MasterKind::TgMulti(images, cfg) => Master::TgMulti(Box::new(
-                        TgMultiCore::new(format!("tgmulti{core}"), mport, images.clone(), *cfg),
-                    )),
-                    MasterKind::Stochastic(cfg) => Master::Stochastic(Box::new(StochasticTg::new(
-                        format!("stg{core}"),
+                    let Slave::Mem(priv_mem) = &mut slaves[core] else {
+                        unreachable!("slave {core} is this core's private memory")
+                    };
+                    priv_mem.load_words(program.entry(), program.words());
+                    let sp = base + self.private_bytes - 4;
+                    Master::Cpu(Box::new(CpuCore::new(
+                        format!("cpu{core}"),
                         mport,
-                        cfg.clone(),
-                    ))),
-                    MasterKind::Custom(factory) => {
-                        Master::Custom(factory(MasterCtx { core, cores: n }, mport))
-                    }
-                };
+                        map.clone(),
+                        self.cpu_config,
+                        program.entry(),
+                        sp,
+                    )))
+                }
+                MasterKind::Tg(image) => {
+                    Master::Tg(TgCore::new(format!("tg{core}"), mport, image.clone()))
+                }
+                MasterKind::Stochastic(cfg) => Master::Stochastic(Box::new(StochasticTg::new(
+                    format!("stg{core}"),
+                    mport,
+                    cfg.clone(),
+                ))),
+                MasterKind::Synthetic {
+                    spec,
+                    packets,
+                    seed,
+                } => Master::Synthetic(Box::new(SyntheticTg::new(
+                    format!("syn{core}"),
+                    mport,
+                    SyntheticConfig {
+                        pattern: spec.pattern,
+                        schedule: Schedule::new(spec.shape, spec.rate),
+                        words: spec.words,
+                        packets: *packets,
+                        seed: derive_seed(*seed, core as u64),
+                    },
+                    core,
+                    n,
+                ))),
+            };
             masters.push(master);
         }
 
@@ -1147,15 +1104,6 @@ impl Platform {
             unreachable!("last slave is the semaphore bank")
         };
         s.peek_cell(n)
-    }
-
-    /// Scheduler statistics of a multitasking TG socket, if master
-    /// `core` is one.
-    pub fn scheduler_stats(&self, core: usize) -> Option<ntg_core::SchedulerStats> {
-        match &self.masters[core] {
-            Master::TgMulti(m) => Some(m.scheduler_stats()),
-            _ => None,
-        }
     }
 
     /// `(mean, max)` of the interconnect's characteristic latency metric

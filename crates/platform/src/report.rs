@@ -20,8 +20,9 @@ pub enum MasterReport {
         /// Error responses received.
         errors: u64,
     },
-    /// A synthetic traffic generator (pattern × temporal-shape masters
-    /// from `ntg-workloads`): packet and state-residency counters.
+    /// A synthetic traffic generator (pattern × temporal-shape masters,
+    /// [`SyntheticTg`](crate::synthetic::SyntheticTg)): packet and
+    /// state-residency counters.
     Synthetic {
         /// Packets fully injected (request accepted by the fabric).
         packets: u64,

@@ -28,8 +28,7 @@ pub use pattern::{Pattern, ALL_PATTERNS};
 pub use shape::{Schedule, ShapeKind, ALL_SHAPES};
 pub use tg::{SyntheticConfig, SyntheticTg};
 
-use ntg_core::rng::derive_seed;
-use ntg_platform::{InterconnectChoice, MasterKind, Platform, PlatformBuilder, PlatformError};
+use crate::{InterconnectChoice, Platform, PlatformBuilder, PlatformError};
 
 /// A complete synthetic traffic descriptor: destination pattern,
 /// temporal shape, long-run injection rate and packet size.
@@ -108,37 +107,6 @@ impl std::str::FromStr for SyntheticSpec {
     }
 }
 
-/// Platform-builder extension adding synthetic traffic-generator
-/// masters.
-pub trait SyntheticPlatformExt {
-    /// Adds one [`SyntheticTg`] master driven by `spec`, halting after
-    /// `packets` packets. Each master's PRNG stream is derived from
-    /// `seed` and its core index, so the same call on every core still
-    /// yields decorrelated (but reproducible) traffic.
-    fn add_synthetic_tg(&mut self, spec: SyntheticSpec, packets: u64, seed: u64) -> &mut Self;
-}
-
-impl SyntheticPlatformExt for PlatformBuilder {
-    fn add_synthetic_tg(&mut self, spec: SyntheticSpec, packets: u64, seed: u64) -> &mut Self {
-        self.add_master(MasterKind::Custom(Box::new(move |ctx, port| {
-            let cfg = SyntheticConfig {
-                pattern: spec.pattern,
-                schedule: Schedule::new(spec.shape, spec.rate),
-                words: spec.words,
-                packets,
-                seed: derive_seed(seed, ctx.core as u64),
-            };
-            Box::new(SyntheticTg::new(
-                format!("syn{}", ctx.core),
-                port,
-                cfg,
-                ctx.core,
-                ctx.cores,
-            ))
-        })))
-    }
-}
-
 /// Builds a complete platform of `cores` synthetic masters, each
 /// injecting `packets` packets per `spec`.
 ///
@@ -169,7 +137,7 @@ pub fn build_synthetic_platform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntg_platform::MasterReport;
+    use crate::MasterReport;
 
     #[test]
     fn descriptor_round_trips() {

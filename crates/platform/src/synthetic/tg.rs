@@ -12,9 +12,9 @@
 
 use super::pattern::Pattern;
 use super::shape::Schedule;
+use crate::{mem_map, MasterReport};
 use ntg_core::rng::Xoshiro256;
 use ntg_ocp::{DataWords, LinkArena, MasterPort, OcpRequest};
-use ntg_platform::{mem_map, MasterReport, PlatformMaster};
 use ntg_sim::{Activity, Component, Cycle};
 
 /// Width in words of the per-destination address window packets land in
@@ -131,6 +131,21 @@ impl SyntheticTg {
         self.state == State::Halted
     }
 
+    /// The cycle the last packet was accepted in, once halted.
+    pub(crate) fn halt_cycle(&self) -> Option<Cycle> {
+        self.halt_cycle
+    }
+
+    /// The packet and state-residency counters of this master.
+    pub(crate) fn report(&self) -> MasterReport {
+        MasterReport::Synthetic {
+            packets: self.packets_done,
+            last_scheduled: self.last_scheduled,
+            idle_cycles: self.idle_cycles,
+            wait_cycles: self.wait_cycles,
+        }
+    }
+
     /// Builds and asserts the next packet; records its scheduled slot.
     fn issue(&mut self, now: Cycle, net: &mut LinkArena) {
         let dest = self.pattern.dest(self.core, self.cores, &mut self.rng);
@@ -220,25 +235,6 @@ impl Component<LinkArena> for SyntheticTg {
                 self.wait_cycles += next - now;
             }
             State::Halted => {}
-        }
-    }
-}
-
-impl PlatformMaster for SyntheticTg {
-    fn halted(&self) -> bool {
-        self.state == State::Halted
-    }
-
-    fn halt_cycle(&self) -> Option<Cycle> {
-        self.halt_cycle
-    }
-
-    fn report(&self) -> MasterReport {
-        MasterReport::Synthetic {
-            packets: self.packets_done,
-            last_scheduled: self.last_scheduled,
-            idle_cycles: self.idle_cycles,
-            wait_cycles: self.wait_cycles,
         }
     }
 }

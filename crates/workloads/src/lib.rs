@@ -41,8 +41,10 @@ mod common;
 mod des;
 mod mp_matrix;
 mod sp_matrix;
-pub mod synthetic;
 
+/// Synthetic pattern × shape traffic (defined in `ntg-platform`, whose
+/// builder instantiates it).
+pub use ntg_platform::synthetic;
 use ntg_platform::{InterconnectChoice, Platform, PlatformBuilder, PlatformError};
 
 /// A benchmark with its size parameters.

@@ -34,7 +34,7 @@ use ntg_core::{
 };
 use ntg_platform::mem_map::{private_base, semaphore, SHARED_BASE};
 use ntg_platform::{InterconnectChoice, Platform, PlatformBuilder, RunReport};
-use ntg_workloads::synthetic::{SyntheticPlatformExt, SyntheticSpec};
+use ntg_workloads::synthetic::SyntheticSpec;
 use ntg_workloads::Workload;
 
 /// Everything a run leaves behind that must be engine-independent.

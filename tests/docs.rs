@@ -1,6 +1,6 @@
 //! The top-level docs must not drift from the tree: every backticked
-//! repo path in README, DESIGN and EXPERIMENTS exists, every backticked
-//! Rust item in README and DESIGN is defined in the tree, every `§4.N`
+//! repo path and every backticked Rust item in README, DESIGN and
+//! EXPERIMENTS exists in the tree, every `§4.N`
 //! names a DESIGN section, and DESIGN's `### 4.N` sections are
 //! numbered 4.1, 4.2, … with no gap.
 
@@ -244,7 +244,7 @@ fn backticked_rust_items_are_defined() {
     };
     let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
     let mut stale = Vec::new();
-    for doc in ["README.md", "DESIGN.md"] {
+    for doc in DOCS {
         for (line, span) in code_spans(&read(doc)) {
             let (ty, name) = span
                 .split_once("::")

@@ -10,7 +10,7 @@
 
 use ntg::platform::{InterconnectChoice, Platform, PlatformBuilder, RunReport};
 use ntg::tg::{assemble, TgImage, TraceTranslator, TranslationMode};
-use ntg::workloads::synthetic::{SyntheticPlatformExt, SyntheticSpec};
+use ntg::workloads::synthetic::SyntheticSpec;
 use ntg::workloads::Workload;
 
 const MAX: u64 = 2_000_000;
